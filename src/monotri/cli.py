@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--method", default="operator", choices=METHODS)
     p_alpha.add_argument("--all-methods", action="store_true",
                          help="print one value per applicable method; exit 1 on disagreement")
-    p_alpha.add_argument("--cache-file", help="load/persist memoized values (one record per line)")
+    p_alpha.add_argument("--cache-file", help="load/persist memoized values (a checksummed "
+                                               "header line, then one record per line)")
     p_alpha.set_defaults(func=cmd_alpha)
 
     p_enum = _allow_negative_values(sub.add_parser("enumerate", help="stream triangles with a prescribed bottom row"))
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use every row in the window instead of sampling")
     p_verify.add_argument("--row", default=None, help="explicit row (reduction check)")
     p_verify.add_argument("--method", default="operator", choices=METHODS)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="accepted for compatibility; points always run in order in one thread")
     p_verify.add_argument("--functions", type=int, default=10,
                           help="random functions per row for operator checks")
     p_verify.add_argument("--zero-triple-rows", action="store_true",

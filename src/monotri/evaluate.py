@@ -20,8 +20,11 @@ any value path.
 
 from __future__ import annotations
 
-import threading
-from itertools import combinations
+import hashlib
+import os
+import re
+import tempfile
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
@@ -36,48 +39,70 @@ Row = tuple[int, ...]
 RowFunction = Callable[[Row], int]
 
 
+def _extended_range(a: int, b: int) -> tuple[range, int]:
+    """The values and the sign of the extended sum over a..b: a..b with sign
+    +1 when a <= b, otherwise b+1..a-1 with sign -1 (empty when b == a - 1)."""
+    if b >= a:
+        return range(a, b + 1), 1
+    return range(b + 1, a), -1
+
+
 def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
     """Sum of f over a..b, extended to inverted bounds.
 
     Ordinary sum when a <= b; zero when b == a - 1; the negated sum over
     b+1..a-1 when b + 1 <= a - 1.
     """
-    if b >= a:
-        return sum(f(v) for v in range(a, b + 1))
-    if b == a - 1:
-        return 0
-    return -sum(f(v) for v in range(b + 1, a))
+    values, sign = _extended_range(a, b)
+    return sign * sum(f(v) for v in values)
 
 
-def _op(k: Row, fn: RowFunction) -> int:
-    # One-argument base: the operator over a single bound is the identity.
-    if len(k) == 1:
-        return fn(())
-    second, last = k[-2], k[-1]
-
-    def summed(prefix: Row) -> int:
-        return extended_sum(lambda v: fn(prefix + (v,)), second + 1, last)
-
-    def pinned(prefix: Row) -> int:
-        return fn(prefix + (second,))
-
-    return _op(k[:-1], summed) + _op(k[:-2] + (second - 1,), pinned)
+# The operator walks.  The operator over bounds k applies a function of
+# len(k) - 1 arguments to a signed family of rows; each walk unrolls one
+# recursion for the operator into an explicit stack and yields those
+# (row, sign) terms, in the order the recursion calls the function.  A stack
+# frame holds the bounds still to expand, the value choices of the row
+# positions already fixed (a range for an extended sum, a 1-tuple for a
+# pinned value) and the sign.  At a single bound the fixed positions make up
+# the whole row and their product lists the terms.  A summed branch over an
+# empty range has no terms and is dropped.
 
 
-def _op_alt(k: Row, fn: RowFunction) -> int:
-    if len(k) == 1:
-        return fn(())
-    if len(k) == 2:
-        return extended_sum(lambda v: fn((v,)), k[0], k[1])
-    second, last = k[-2], k[-1]
+def _op_terms(k: Row) -> Iterator[tuple[Row, int]]:
+    stack = [(k, (), 1)]
+    while stack:
+        k, tail, sign = stack.pop()
+        if len(k) == 1:
+            for row in product(*tail):
+                yield row, sign
+            continue
+        second, last = k[-2], k[-1]
+        # The pinned branch goes below the summed one, which is walked first.
+        stack.append((k[:-2] + (second - 1,), ((second,),) + tail, sign))
+        values, s = _extended_range(second + 1, last)
+        if values:
+            stack.append((k[:-1], (values,) + tail, sign * s))
 
-    def summed(prefix: Row) -> int:
-        return extended_sum(lambda v: fn(prefix + (v,)), second, last)
 
-    def doubled(prefix: Row) -> int:
-        return fn(prefix + (second, second))
-
-    return _op_alt(k[:-1], summed) - _op_alt(k[:-2], doubled)
+def _op_alt_terms(k: Row) -> Iterator[tuple[Row, int]]:
+    stack = [(k, (), 1)]
+    while stack:
+        k, tail, sign = stack.pop()
+        if len(k) == 1:
+            for row in product(*tail):
+                yield row, sign
+            continue
+        if len(k) == 2:
+            values, s = _extended_range(k[0], k[1])
+            for row in product(values, *tail):
+                yield row, sign * s
+            continue
+        second, last = k[-2], k[-1]
+        # The doubled branch goes below the summed one, which is walked first.
+        stack.append((k[:-2], ((second,), (second,)) + tail, -sign))
+        values, s = _extended_range(second, last)
+        if values:
+            stack.append((k[:-1], (values,) + tail, sign * s))
 
 
 def operator_apply(k, fn: RowFunction) -> int:
@@ -92,7 +117,7 @@ def operator_apply(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 2:
         raise ValueError("the operator needs at least two bounds")
-    return _op(k, fn)
+    return sum(sign * fn(row) for row, sign in _op_terms(k))
 
 
 def operator_apply_alt(k, fn: RowFunction) -> int:
@@ -103,7 +128,7 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 3:
         raise ValueError("the alternative recursion needs at least three bounds")
-    return _op_alt(k, fn)
+    return sum(sign * fn(row) for row, sign in _op_alt_terms(k))
 
 
 def nonadjacent_index_sets(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -116,14 +141,24 @@ def nonadjacent_index_sets(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
                 yield combo
 
 
+_CACHE_VERSION = 1
+_CACHE_HEADER = re.compile(r"monotri-cache v(\d+) normalize=([01]) sha256=([0-9a-f]{64})")
+
+
 class EvalCache:
     """Memo store for polynomial evaluations, keyed by (length, row).
 
     Values are translation invariant (shifting every argument by a constant
     shifts every triangle entry the same way), so keys are normalized by
     translating the row so its first entry is 0.  Set ``normalize=False`` to
-    key on the raw row instead.  Reads and writes are lock-protected; hit and
-    miss counters are kept for diagnostics.
+    key on the raw row instead.  Hit and miss counters are kept for
+    diagnostics.
+
+    A saved cache file starts with the header line
+    ``monotri-cache v1 normalize=<0|1> sha256=<hex>``, where the digest covers
+    every record line after it; :meth:`load` rejects a file whose header is
+    missing or malformed, whose digest does not match, or which holds a key
+    that is not translation-normalized where keys are normalized.
     """
 
     def __init__(self, normalize: bool = True):
@@ -131,56 +166,72 @@ class EvalCache:
         self.hits = 0
         self.misses = 0
         self._store: dict[tuple[int, Row], int] = {}
-        self._lock = threading.Lock()
 
     def _key(self, row: Row) -> tuple[int, Row]:
-        if self.normalize:
+        if self.normalize and row[0]:
             base = row[0]
-            return len(row), tuple(v - base for v in row)
+            return len(row), tuple([v - base for v in row])
         return len(row), row
 
     def get(self, row: Row) -> int | None:
-        key = self._key(row)
-        with self._lock:
-            value = self._store.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
+        value = self._store.get(self._key(row))
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
     def put(self, row: Row, value: int) -> None:
-        key = self._key(row)
-        with self._lock:
-            self._store[key] = value
+        self._store[self._key(row)] = value
 
     def __len__(self) -> int:
         return len(self._store)
 
     def save(self, path) -> None:
-        """One record per line: length, comma-separated row, decimal value."""
-        with self._lock:
-            records = sorted(self._store.items())
-        with open(path, "w", encoding="ascii") as fh:
-            for (n, row), value in records:
-                fh.write(f"{n}\t{','.join(str(v) for v in row)}\t{value}\n")
+        """Write the header line, then one record per line: length,
+        comma-separated row, decimal value.  The file is written beside
+        ``path`` and renamed over it, so a reader never sees it half written."""
+        body = "".join(f"{n}\t{','.join(str(v) for v in row)}\t{value}\n"
+                       for (n, row), value in sorted(self._store.items()))
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        header = f"monotri-cache v{_CACHE_VERSION} normalize={int(self.normalize)} sha256={digest}\n"
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".monotri-cache-")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(header + body)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, path) -> int:
-        """Merge records from ``path``; returns the number of records read."""
-        count = 0
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        """Merge records from ``path``; returns the number of records read.
+        Raises ``ValueError`` and merges nothing if the file fails a check."""
+        with open(path, "r", encoding="ascii", newline="") as fh:
+            header, _, body = fh.read().partition("\n")
+        match = _CACHE_HEADER.fullmatch(header)
+        if match is None:
+            raise ValueError(f"cache file {path}: missing or malformed header {header[:80]!r}")
+        if int(match[1]) != _CACHE_VERSION:
+            raise ValueError(f"cache file {path}: unsupported format version {match[1]}")
+        if hashlib.sha256(body.encode("ascii")).hexdigest() != match[3]:
+            raise ValueError(f"cache file {path}: checksum mismatch")
+        normalized = self.normalize or match[2] == "1"
+        records = {}
+        for line in body.splitlines():
+            try:
                 n_text, row_text, value_text = line.split("\t")
-                row = tuple(int(v) for v in row_text.split(","))
-                if len(row) != int(n_text):
-                    raise ValueError(f"corrupt cache record: {line!r}")
-                with self._lock:
-                    self._store[(int(n_text), row)] = int(value_text)
-                count += 1
-        return count
+                key = int(n_text), tuple(int(v) for v in row_text.split(","))
+                value = int(value_text)
+            except ValueError:
+                raise ValueError(f"corrupt cache record: {line!r}") from None
+            if len(key[1]) != key[0]:
+                raise ValueError(f"corrupt cache record: {line!r}")
+            if normalized and key[1][0] != 0:
+                raise ValueError(f"cache record not translation-normalized: {line!r}")
+            records[key] = value
+        self._store.update(records)
+        return len(records)
 
 
 def _check_row(row) -> Row:
@@ -202,10 +253,10 @@ def _alpha_operator(row: Row, cache: EvalCache, alt: bool) -> int:
         cached = cache.get(r)
         if cached is not None:
             return cached
-        if alt and len(r) >= 3:
-            value = _op_alt(r, ev)
-        else:
-            value = _op(r, ev)
+        terms = _op_alt_terms(r) if alt and len(r) >= 3 else _op_terms(r)
+        value = 0
+        for term, sign in terms:
+            value += sign * ev(term)
         cache.put(r, value)
         return value
 

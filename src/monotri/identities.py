@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -281,13 +280,6 @@ def _grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
     return [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(samples)]
 
 
-def _run_points(points: list, check: Callable, jobs: int) -> list:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(check, points))
-    return [check(p) for p in points]
-
-
 GRID_CHECKS = ("theorem1", "lemma1", "operator-alt", "cyclic", "neighbor-split",
                "two-step-split", "shift-antisym")
 
@@ -299,9 +291,10 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
                       zero_on_triple_rows: bool = False) -> VerificationReport:
     """Run one grid identity over rows drawn from ``window``.
 
-    Rows are exhaustive over the window or sampled with the seeded generator;
-    the sample list is fixed before any parallel evaluation, so the report is
-    identical for any ``jobs``.
+    Rows are exhaustive over the window or sampled with the seeded generator,
+    and the points are checked in order in the calling thread.  ``jobs`` is
+    accepted for compatibility and changes nothing: the report is identical
+    for any value.
     """
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
@@ -356,7 +349,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     else:
         points = rows
 
-    results = _run_points(points, point_check, jobs)
+    results = [point_check(p) for p in points]
     failures = [ce for _, ok, ce in results if not ok]
     metadata = {"results": [{"params": params, "ok": ok} for params, ok, _ in results]}
     if name == "lemma1":
@@ -531,7 +524,9 @@ class ConjectureSpec:
     ``n_values`` fixes the grid explicitly (fully deterministic report).
     Without it, each family runs at its two smallest parameter values, and a
     positive ``time_budget_secs`` lets the grid extend to larger n while the
-    family's elapsed time stays under the budget.
+    family's elapsed time stays under the budget.  Points are checked in order
+    in the calling thread; ``jobs`` is accepted for compatibility and changes
+    nothing.
     """
 
     names: tuple[str, ...] | None = None
@@ -562,9 +557,8 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
         failures = []
 
         def run_n(n: int):
-            points = family.points(n)
-            checks = _run_points(points, lambda p: (p, *family.check(p, ev)), spec.jobs)
-            for params, lhs, rhs in checks:
+            for params in family.points(n):
+                lhs, rhs = family.check(params, ev)
                 ok = lhs == rhs
                 results.append({"params": params, "ok": ok})
                 if not ok:

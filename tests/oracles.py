@@ -1,9 +1,10 @@
 """Independent brute-force oracles, written straight from the definitions.
 
 Everything here enumerates candidate objects over a bounded value box and
-filters with plain predicates.  None of it shares code with the package
-under test; it exists so the fast implementations are checked against a
-second, dumb route.
+filters with plain predicates, except the two operator recursions at the
+end, written as nested closures straight from their recursive definitions.
+None of it shares code with the package under test; it exists so the fast
+implementations are checked against a second, dumb route.
 """
 
 from itertools import combinations, product
@@ -167,3 +168,52 @@ def tn_objects_brute(bottom):
                 if tn_ok(rows, spec):
                     out.append((tuple(rows), spec))
     return out
+
+
+def _ext_sum(f, a, b):
+    """Sum of f over a..b; zero when b == a - 1; minus the sum over
+    b+1..a-1 when b < a - 1."""
+    if b >= a:
+        return sum(f(v) for v in range(a, b + 1))
+    if b == a - 1:
+        return 0
+    return -sum(f(v) for v in range(b + 1, a))
+
+
+def operator_closures(k, fn):
+    """The summation operator as the recursion over nested closures: the
+    operator over k_1..k_{n-1} of the extended sum of the last argument over
+    k_{n-1}+1..k_n, plus the operator over (k_1..k_{n-2}, k_{n-1}-1) with the
+    last argument pinned to k_{n-1}."""
+    k = tuple(k)
+    if len(k) == 1:
+        return fn(())
+    second, last = k[-2], k[-1]
+
+    def summed(prefix):
+        return _ext_sum(lambda v: fn(prefix + (v,)), second + 1, last)
+
+    def pinned(prefix):
+        return fn(prefix + (second,))
+
+    return operator_closures(k[:-1], summed) + operator_closures(k[:-2] + (second - 1,), pinned)
+
+
+def operator_alt_closures(k, fn):
+    """The alternative recursion over nested closures: the extended sum of
+    the last argument over k_{n-1}..k_n under the shorter operator, minus the
+    operator over k_1..k_{n-2} with the last two arguments pinned to k_{n-1}."""
+    k = tuple(k)
+    if len(k) == 1:
+        return fn(())
+    if len(k) == 2:
+        return _ext_sum(lambda v: fn((v,)), k[0], k[1])
+    second, last = k[-2], k[-1]
+
+    def summed(prefix):
+        return _ext_sum(lambda v: fn(prefix + (v,)), second, last)
+
+    def doubled(prefix):
+        return fn(prefix + (second, second))
+
+    return operator_alt_closures(k[:-1], summed) - operator_alt_closures(k[:-2], doubled)

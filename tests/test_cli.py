@@ -54,6 +54,18 @@ class TestAlphaCommand:
         again = run_cli("alpha", "--row", "4,2,1,3", "--cache-file", str(path))
         assert again.stdout == "-2\n"
 
+    def test_tampered_value_exits_with_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cache.tsv"
+        assert main(["alpha", "--row", "10,15", "--cache-file", str(path)]) == 0
+        assert capsys.readouterr().out == "6\n"
+        text = path.read_text()
+        assert "2\t0,5\t6\n" in text
+        path.write_text(text.replace("2\t0,5\t6\n", "2\t0,5\t999\n"))
+        assert main(["alpha", "--row", "10,15", "--cache-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checksum" in captured.err
+
 
 class TestEnumerateCommand:
     def test_count_and_signed(self):

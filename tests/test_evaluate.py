@@ -1,8 +1,9 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monotri import (
@@ -17,7 +18,7 @@ from monotri import (
     third_extension_eval,
 )
 from monotri.identities import hashed_row_function
-from oracles import signed_gmt_brute
+from oracles import operator_alt_closures, operator_closures, signed_gmt_brute
 
 small_int = st.integers(min_value=-8, max_value=8)
 
@@ -76,6 +77,50 @@ class TestOperator:
             k = tuple(rng.randint(-4, 4) for _ in range(n))
             fn = hashed_row_function(trial)
             assert operator_apply(k, fn) == operator_apply_alt(k, fn), k
+
+
+bound = st.integers(min_value=-6, max_value=6)
+
+
+class TestFlatWalks:
+    """The flat term walks against the closure recursions they unroll."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(bound, min_size=2, max_size=5), st.integers(0, 10**6))
+    @example([0, 0], 1)
+    @example([3, 2], 2)
+    @example([5, 1], 3)
+    @example([0, 0, 0, 0, 0], 4)
+    @example([4, 3, 2, 1, 0], 5)
+    @example([2, 1, 1, 0, -1], 6)
+    @example([-6, 6, -6, 6, -6], 7)
+    def test_operator_matches_closure_recursion(self, k, seed):
+        fn = hashed_row_function(seed)
+        assert operator_apply(k, fn) == operator_closures(k, fn)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(bound, min_size=3, max_size=5), st.integers(0, 10**6))
+    @example([0, 0, 0], 1)
+    @example([3, 2, 1], 2)
+    @example([0, 0, 0, 0, 0], 4)
+    @example([4, 3, 2, 1, 0], 5)
+    @example([2, 1, 1, 0, -1], 6)
+    @example([-6, 6, -6, 6, -6], 7)
+    def test_operator_alt_matches_closure_recursion(self, k, seed):
+        fn = hashed_row_function(seed)
+        assert operator_apply_alt(k, fn) == operator_alt_closures(k, fn)
+
+    @pytest.mark.parametrize("row, method, value, entries, hits", [
+        (tuple(range(1, 12)), "operator", 31095744852375, 1023, 57961),
+        ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 3091, 335481),
+        (tuple(range(1, 9)), "operator_alt", 10850216, 803, 47322),
+    ])
+    def test_memo_counters(self, row, method, value, entries, hits):
+        # One memo lookup per term the walks yield: a change to the term
+        # structure moves these counts.
+        cache = EvalCache()
+        assert alpha(row, method, cache) == value
+        assert (len(cache), cache.hits, cache.misses) == (entries, hits, entries)
 
 
 class TestAlpha:
@@ -174,6 +219,57 @@ class TestEvalCache:
         path.write_text("3\t0,1\t5\n")
         with pytest.raises(ValueError):
             EvalCache().load(path)
+
+    @staticmethod
+    def write_cache_file(path, body, normalize=1):
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        path.write_text(f"monotri-cache v1 normalize={normalize} sha256={digest}\n{body}")
+
+    def test_header_and_checksum(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        self.write_cache_file(path, "2\t0,5\t6\n")
+        cache = EvalCache()
+        assert cache.load(path) == 1
+        assert alpha((10, 15), "operator", cache) == 6
+        for bad in ("2\t0,5\t6\n",  # no header
+                    "monotri-cache v1 normalize=1\n2\t0,5\t6\n",
+                    "monotri-cache v1 normalize=1 sha256=" + "0" * 64 + "\n2\t0,5\t6\n"):
+            path.write_text(bad)
+            with pytest.raises(ValueError):
+                EvalCache().load(path)
+        self.write_cache_file(path, "3\t0,5\t6\n")
+        with pytest.raises(ValueError, match="corrupt"):
+            EvalCache().load(path)
+
+    def test_unnormalized_key_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        for normalize in (1, 0):
+            self.write_cache_file(path, "2\t10,15\t6\n", normalize)
+            with pytest.raises(ValueError, match="normalized"):
+                EvalCache().load(path)
+        # a raw-keyed cache may read raw keys from a raw-keyed file
+        raw = EvalCache(normalize=False)
+        assert raw.load(path) == 1
+        assert alpha((10, 15), "operator", raw) == 6
+
+    def test_failed_load_merges_nothing(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        self.write_cache_file(path, "2\t0,5\t6\n2\t3,5\t3\n")
+        cache = EvalCache()
+        with pytest.raises(ValueError):
+            cache.load(path)
+        assert len(cache) == 0
+
+    def test_save_replaces_the_file(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("stale\n")
+        cache = EvalCache()
+        alpha((4, 2, 1, 3), "operator", cache)
+        cache.save(path)
+        header = path.read_text().splitlines()[0]
+        assert header.startswith("monotri-cache v1 normalize=1 sha256=")
+        assert list(tmp_path.iterdir()) == [path]
+        assert EvalCache().load(path) == len(cache)
 
 
 class TestRowSumExpansion:
