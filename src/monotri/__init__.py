@@ -48,6 +48,7 @@ from .rows import (
     AdmissibleRow,
     BudgetExceededError,
     EnumerationLimits,
+    count_triangles,
     dmt_admissible_rows,
     enumerate_dmt,
     enumerate_gmt,
@@ -99,6 +100,7 @@ __all__ = [
     "check_neighbor_split",
     "check_shift_antisymmetry",
     "check_two_step_split",
+    "count_triangles",
     "dmt_admissible_rows",
     "emit_ratio_sequence",
     "enumerate_dmt",

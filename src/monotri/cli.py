@@ -23,6 +23,7 @@ from .identities import (
     GRID_CHECKS,
     ConjectureSpec,
     emit_ratio_sequence,
+    grid_rows,
     run_conjecture_suite,
     run_identity_grid,
 )
@@ -30,6 +31,7 @@ from .report import VerificationReport, render_table
 from .rows import (
     BudgetExceededError,
     EnumerationLimits,
+    count_triangles,
     enumerate_dmt,
     enumerate_gmt,
     enumerate_mt,
@@ -71,10 +73,12 @@ def cmd_alpha(args) -> int:
             print(value)
         return 0 if len(set(values)) == 1 else 1
     cache = EvalCache()
-    if args.cache_file and os.path.exists(args.cache_file):
+    existed = bool(args.cache_file) and os.path.exists(args.cache_file)
+    if existed:
         cache.load(args.cache_file)
+    loaded = len(cache)
     value = alpha(row, args.method, cache)
-    if args.cache_file:
+    if args.cache_file and (not existed or len(cache) > loaded):
         cache.save(args.cache_file)
     print(value)
     return 0
@@ -83,6 +87,9 @@ def cmd_alpha(args) -> int:
 def cmd_enumerate(args) -> int:
     row = parse_row(args.row)
     limits = _limits(args)
+    if args.count and args.klass != "tn":
+        print(count_triangles(args.klass, row, limits))
+        return 0
     if args.klass == "tn":
         stream = enumerate_tn(row, limits)
         to_json = tn_to_json
@@ -164,8 +171,7 @@ def cmd_verify(args) -> int:
             reports.append(verify_reduction(parse_row(args.row)))
         else:
             n = args.n if args.n is not None else 3
-            from .identities import _grid_rows  # deterministic row grid
-            for row in _grid_rows(n, window, args.samples, args.seed, args.exhaustive):
+            for row in grid_rows(n, window, args.samples, args.seed, args.exhaustive):
                 reports.append(verify_reduction(row))
     elif name == "ratio-scan":
         if args.k is None:

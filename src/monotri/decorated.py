@@ -47,14 +47,16 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
         raise ValueError("the bottom row must not be empty")
     limits = limits or DEFAULT_LIMITS
     n = len(bottom)
-    budget = {"rows": limits.max_rows_generated, "triangles": limits.max_triangles}
+    rows_left = limits.max_rows_generated
+    triangles_left = limits.max_triangles
 
     def rec(stack: list[tuple[int, ...]], specials: frozenset[Position]) -> Iterator[TnObject]:
+        nonlocal triangles_left
         r = n - len(stack) + 1  # 1-based index of the highest built row
         if r == 1:
-            if budget["triangles"] == 0:
+            if triangles_left == 0:
                 raise BudgetExceededError("triangle budget exhausted")
-            budget["triangles"] -= 1
+            triangles_left -= 1
             yield TnObject(Triangle(reversed(stack)), specials)
             return
         current = stack[-1]
@@ -77,9 +79,10 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
             marked = specials | {(r, j) for j in chosen}
 
             def product(idx: int, prefix: tuple[int, ...]) -> Iterator[TnObject]:
+                nonlocal rows_left
                 if idx == r - 1:
-                    budget["rows"] -= 1
-                    if budget["rows"] < 0:
+                    rows_left -= 1
+                    if rows_left < 0:
                         raise BudgetExceededError("row generation budget exhausted")
                     stack.append(prefix)
                     yield from rec(stack, marked)

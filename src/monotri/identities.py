@@ -269,8 +269,10 @@ def operator_recursion_agreement(k, fn: Evaluator) -> tuple[int, int]:
 # --- grid runners -------------------------------------------------------------
 
 
-def _grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
-               exhaustive: bool) -> list[Row]:
+def grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
+              exhaustive: bool) -> list[Row]:
+    """Rows of length ``n`` over ``window``: every row when ``exhaustive``,
+    else ``samples`` rows drawn by a generator seeded with ``seed``."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
@@ -299,7 +301,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
     started = time.perf_counter()
-    rows = _grid_rows(n, window, samples, seed, exhaustive)
+    rows = grid_rows(n, window, samples, seed, exhaustive)
     grid = (f"n={n}, window={window[0]}..{window[1]}, "
             + ("exhaustive" if exhaustive else f"samples={samples}, seed={seed}"))
 

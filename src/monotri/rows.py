@@ -4,7 +4,8 @@ Every triangle class here is defined by conditions between consecutive rows,
 so triangles with a prescribed bottom row are generated bottom-up: compute the
 admissible rows that may sit directly above a given row, then recurse.  All
 enumeration is depth-first in lexicographic order of the successive rows,
-which makes every stream deterministic.
+which makes every stream deterministic.  :func:`count_triangles` walks the
+same tree in the same order without building triangles.
 """
 
 from __future__ import annotations
@@ -155,57 +156,148 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     return out
 
 
-def _stream(bottom, expand: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
-            limits: EnumerationLimits) -> Iterator[Triangle]:
+def _gmt_rows(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [ar.row for ar in gmt_admissible_rows(row)]
+
+
+def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable | None]:
+    """Check ``bottom`` against the triangle class and return it as a tuple
+    with the class's expansion (row -> admissible rows above it).  The
+    expansion is None when no triangle of the class has this bottom row."""
     bottom = tuple(bottom)
+    if klass == "gmt":
+        return bottom, _gmt_rows
+    if klass == "mt":
+        if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
+            raise ValueError("the bottom row must be strictly increasing")
+        return bottom, mt_admissible_rows
+    if klass == "dmt":
+        if any(bottom[j] < bottom[j + 1] for j in range(len(bottom) - 1)):
+            raise ValueError("the bottom row must be weakly decreasing")
+        # the at-most-twice condition applies to the bottom row itself
+        if any(bottom.count(v) > 2 for v in set(bottom)):
+            return bottom, None
+        return bottom, dmt_admissible_rows
+    raise ValueError(f"unknown triangle class {klass!r}")
+
+
+def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
+            limits: EnumerationLimits) -> Iterator[Triangle]:
+    """Depth-first walk over an explicit stack: ``path`` holds the rows from
+    the bottom up, ``pending`` an iterator over the rows still to try above
+    each of them.  Expanding a row charges its admissible rows to the row
+    budget; each triangle charges one to the triangle budget before it is
+    yielded."""
     if not bottom:
         raise ValueError("the bottom row must not be empty")
-    budget = {"rows": limits.max_rows_generated, "triangles": limits.max_triangles}
-
-    def rec(stack: list[tuple[int, ...]]) -> Iterator[Triangle]:
-        top = stack[-1]
-        if len(top) == 1:
-            if budget["triangles"] == 0:
-                raise BudgetExceededError("triangle budget exhausted")
-            budget["triangles"] -= 1
-            yield Triangle(reversed(stack))
-            return
+    rows_left = limits.max_rows_generated
+    triangles_left = limits.max_triangles
+    if len(bottom) == 1:
+        yield Triangle((bottom,))
+        return
+    path = [bottom]
+    pending = []
+    while True:
+        top = path[-1]
         above = expand(top)
-        budget["rows"] -= len(above)
-        if budget["rows"] < 0:
+        rows_left -= len(above)
+        if rows_left < 0:
             raise BudgetExceededError("row generation budget exhausted")
-        for row in above:
-            stack.append(row)
-            yield from rec(stack)
-            stack.pop()
-
-    yield from rec([bottom])
+        if len(top) == 2:
+            below = path[::-1]
+            for apex in above:
+                if triangles_left == 0:
+                    raise BudgetExceededError("triangle budget exhausted")
+                triangles_left -= 1
+                yield Triangle((apex, *below))
+            path.pop()
+        else:
+            pending.append(iter(above))
+        while pending:
+            row = next(pending[-1], None)
+            if row is not None:
+                path.append(row)
+                break
+            pending.pop()
+            path.pop()
+        else:
+            return
 
 
 def enumerate_gmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All generalized monotone triangles with the given bottom row,
     depth-first in lexicographic order of the successive rows."""
-    return _stream(bottom, lambda row: [ar.row for ar in gmt_admissible_rows(row)],
-                   limits or DEFAULT_LIMITS)
+    bottom, expand = _class_expansion("gmt", bottom)
+    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_mt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All monotone triangles with the given strictly increasing bottom row."""
-    bottom = tuple(bottom)
-    if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
-        raise ValueError("the bottom row must be strictly increasing")
-    return _stream(bottom, mt_admissible_rows, limits or DEFAULT_LIMITS)
+    bottom, expand = _class_expansion("mt", bottom)
+    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All decreasing monotone triangles with the given weakly decreasing bottom row."""
-    bottom = tuple(bottom)
-    if any(bottom[j] < bottom[j + 1] for j in range(len(bottom) - 1)):
-        raise ValueError("the bottom row must be weakly decreasing")
-    # the at-most-twice condition applies to the bottom row itself
-    if any(bottom.count(v) > 2 for v in set(bottom)):
+    bottom, expand = _class_expansion("dmt", bottom)
+    if expand is None:
         return iter(())
-    return _stream(bottom, dmt_admissible_rows, limits or DEFAULT_LIMITS)
+    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
+
+
+def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None) -> int:
+    """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
+    bottom row: the length of ``enumerate_<klass>(bottom, limits)``, without
+    building a triangle.
+
+    The walk visits rows in stream order and charges both budgets as the
+    stream does.  A row whose subtree was already walked is skipped whole,
+    charging the stored (triangles, rows generated) of the subtree, when that
+    fits in what is left of both budgets; otherwise the walk goes into it.
+    So the walk raises the stream's ``BudgetExceededError`` at the same point
+    and never expands a row the stream would not.
+    """
+    bottom, expand = _class_expansion(klass, bottom)
+    if expand is None:
+        return 0
+    if not bottom:
+        raise ValueError("the bottom row must not be empty")
+    if len(bottom) == 1:
+        return 1
+    limits = limits or DEFAULT_LIMITS
+    max_rows, max_triangles = limits.max_rows_generated, limits.max_triangles
+    walked: dict[tuple[int, ...], tuple[int, int]] = {}
+    triangles = rows = 0
+    stack = []  # (row, iterator over the rows above it, triangles and rows before it)
+    top = bottom
+    while True:
+        before = triangles, rows
+        above = expand(top)
+        rows += len(above)
+        if rows > max_rows:
+            raise BudgetExceededError("row generation budget exhausted")
+        if len(top) == 2:
+            triangles += len(above)
+            if triangles > max_triangles:
+                raise BudgetExceededError("triangle budget exhausted")
+            walked[top] = (len(above), len(above))
+        else:
+            stack.append((top, iter(above), before))
+        while stack:
+            row, rest, (t0, r0) = stack[-1]
+            for top in rest:
+                seen = walked.get(top)
+                if seen is None or triangles + seen[0] > max_triangles or rows + seen[1] > max_rows:
+                    break
+                triangles += seen[0]
+                rows += seen[1]
+            else:
+                stack.pop()
+                walked[row] = (triangles - t0, rows - r0)
+                continue
+            break
+        else:
+            return triangles
 
 
 def signed_gmt_count(bottom) -> int:

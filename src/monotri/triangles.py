@@ -31,7 +31,7 @@ class Triangle:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if not rows:
             raise ValueError("a triangle needs at least one row")
         for i, row in enumerate(rows, start=1):
@@ -317,8 +317,12 @@ def inferred_special_positions(t: Triangle) -> frozenset[Position]:
 # (compact separators, sorted keys) so serialization round-trips bit-exactly.
 
 
+# rows are tuples of ints, which cannot nest into a cycle
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def triangle_to_json(t: Triangle) -> str:
-    return json.dumps([list(r) for r in t.rows], separators=(",", ":"))
+    return _COMPACT.encode(t.rows)
 
 
 def triangle_from_json(text: str) -> Triangle:

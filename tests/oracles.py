@@ -1,8 +1,9 @@
 """Independent brute-force oracles, written straight from the definitions.
 
 Everything here enumerates candidate objects over a bounded value box and
-filters with plain predicates, except the two operator recursions at the
-end, written as nested closures straight from their recursive definitions.
+filters with plain predicates, except the recursions at the end: the two
+operator recursions, written as nested closures straight from their
+recursive definitions, and the triangle stream as nested generators.
 None of it shares code with the package under test; it exists so the fast
 implementations are checked against a second, dumb route.
 """
@@ -217,3 +218,39 @@ def operator_alt_closures(k, fn):
         return fn(prefix + (second, second))
 
     return operator_alt_closures(k[:-1], summed) - operator_alt_closures(k[:-2], doubled)
+
+
+class StreamBudgetError(RuntimeError):
+    """The reference stream ran out of one of its budgets."""
+
+
+def stream_generators(bottom, expand, max_rows, max_triangles):
+    """The triangle stream as a chain of nested generators, one per row:
+    depth-first over ``expand(row)`` (the admissible rows above ``row``),
+    yielding each triangle as its rows, top first.  Expanding a row charges
+    its admissible rows to the row budget and raises once that is overdrawn;
+    each triangle takes one from the triangle budget, and asking for a
+    triangle when none is left raises."""
+    bottom = tuple(bottom)
+    if not bottom:
+        raise ValueError("the bottom row must not be empty")
+    budget = {"rows": max_rows, "triangles": max_triangles}
+
+    def rec(stack):
+        top = stack[-1]
+        if len(top) == 1:
+            if budget["triangles"] == 0:
+                raise StreamBudgetError("triangle budget exhausted")
+            budget["triangles"] -= 1
+            yield tuple(reversed(stack))
+            return
+        above = expand(top)
+        budget["rows"] -= len(above)
+        if budget["rows"] < 0:
+            raise StreamBudgetError("row generation budget exhausted")
+        for row in above:
+            stack.append(row)
+            yield from rec(stack)
+            stack.pop()
+
+    yield from rec([bottom])

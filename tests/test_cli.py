@@ -54,6 +54,23 @@ class TestAlphaCommand:
         again = run_cli("alpha", "--row", "4,2,1,3", "--cache-file", str(path))
         assert again.stdout == "-2\n"
 
+    def test_cache_file_rewritten_only_when_it_gains_entries(self, tmp_path, capsys):
+        path = tmp_path / "cache.tsv"
+        assert main(["alpha", "--row", "4,2,1,3", "--cache-file", str(path)]) == 0
+        written = path.stat()
+        assert main(["alpha", "--row", "4,2,1,3", "--cache-file", str(path)]) == 0
+        assert main(["alpha", "--row", "1,2,3", "--method", "gmt", "--cache-file", str(path)]) == 0
+        same = path.stat()
+        assert (same.st_ino, same.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+        assert main(["alpha", "--row", "1,2,3,4", "--cache-file", str(path)]) == 0
+        assert path.stat().st_ino != written.st_ino
+        assert capsys.readouterr().out == "-2\n-2\n7\n42\n"
+
+    def test_new_cache_file_is_written_even_without_entries(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        assert main(["alpha", "--row", "1,2,3", "--method", "gmt", "--cache-file", str(path)]) == 0
+        assert path.read_text().startswith("monotri-cache v1 ")
+
     def test_tampered_value_exits_with_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
         assert main(["alpha", "--row", "10,15", "--cache-file", str(path)]) == 0
@@ -94,6 +111,17 @@ class TestEnumerateCommand:
     def test_budget_exit_code(self):
         proc = run_cli("enumerate", "mt", "--row", "2,4,5,8,9", "--max-triangles", "5")
         assert proc.returncode == 3
+
+    def test_count_obeys_the_stream_budgets(self, capsys):
+        row = ["--row", "2,4,5,8,9"]
+        assert main(["enumerate", "mt", *row, "--count", "--max-triangles", "16938"]) == 3
+        assert capsys.readouterr().err == "error: triangle budget exhausted\n"
+        assert main(["enumerate", "mt", *row, "--count", "--max-rows", "3"]) == 3
+        assert capsys.readouterr().err == "error: row generation budget exhausted\n"
+        assert main(["enumerate", "mt", *row, "--count", "--max-triangles", "16939"]) == 0
+        assert capsys.readouterr().out == "16939\n"
+        assert main(["enumerate", "dmt", "--row", "2,2,2", "--count"]) == 0
+        assert capsys.readouterr().out == "0\n"
 
 
 class TestVerifyCommand:

@@ -58,6 +58,20 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             list(enumerate_tn((4, 2, 1, 3), EnumerationLimits(max_triangles=3)))
 
+    @pytest.mark.parametrize("limits, yielded, message", [
+        (EnumerationLimits(max_triangles=3), 3, "triangle budget exhausted"),
+        (EnumerationLimits(max_rows_generated=1), 0, "row generation budget exhausted"),
+        (EnumerationLimits(max_rows_generated=5), 1, "row generation budget exhausted"),
+        (EnumerationLimits(max_rows_generated=20), 9, "row generation budget exhausted"),
+        (EnumerationLimits(max_rows_generated=60), 33, "row generation budget exhausted"),
+    ])
+    def test_budget_points(self, limits, yielded, message):
+        stream = enumerate_tn((3, 1, 4, 2, 5), limits)
+        for _ in range(yielded):
+            next(stream)
+        with pytest.raises(BudgetExceededError, match=message):
+            next(stream)
+
 
 class TestSignedCount:
     def test_golden_values(self):

@@ -2,12 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import monotri.rows
 from monotri import (
     AdmissibleRow,
     BudgetExceededError,
     EnumerationLimits,
     Triangle,
+    count_triangles,
     dmt_admissible_rows,
     enumerate_dmt,
     enumerate_gmt,
@@ -21,7 +25,15 @@ from monotri import (
     validate_gmt,
     validate_monotone_triangle,
 )
-from oracles import gmt_ok, gmt_set_brute, mt_count_brute, sc_brute, signed_gmt_brute
+from oracles import (
+    StreamBudgetError,
+    gmt_ok,
+    gmt_set_brute,
+    mt_count_brute,
+    sc_brute,
+    signed_gmt_brute,
+    stream_generators,
+)
 
 
 def brute_admissible(k):
@@ -234,3 +246,134 @@ class TestStructuralProperties:
                     row_sign_changes(t.rows[i + 1], t.rows[i]) for i in range(t.n - 1)
                 )
                 assert per_level == sc_statistic(t).sc
+
+
+# --- the flat stream and the count against the nested-generator reference ----
+
+STREAMS = {"gmt": enumerate_gmt, "mt": enumerate_mt, "dmt": enumerate_dmt}
+EXPANSIONS = {
+    "gmt": lambda row: [ar.row for ar in gmt_admissible_rows(row)],
+    "mt": mt_admissible_rows,
+    "dmt": dmt_admissible_rows,
+}
+ENTRIES = st.integers(-3, 4)
+BOTTOMS = {
+    "gmt": st.lists(ENTRIES, min_size=1, max_size=5).map(tuple),
+    "mt": st.sets(ENTRIES, min_size=1, max_size=5).map(lambda s: tuple(sorted(s))),
+    # weakly decreasing, no value three times (such rows have no triangle)
+    "dmt": st.lists(ENTRIES, min_size=1, max_size=5)
+             .map(lambda r: tuple(sorted(r, reverse=True)))
+             .filter(lambda r: all(r.count(v) <= 2 for v in r)),
+}
+CLASS_AND_BOTTOM = st.sampled_from(sorted(BOTTOMS)).flatmap(
+    lambda klass: st.tuples(st.just(klass), BOTTOMS[klass]))
+LIMITS = st.one_of(st.none(), st.builds(EnumerationLimits, st.integers(1, 60), st.integers(1, 60)))
+
+
+def _drain(stream):
+    """Everything a stream yields, and the message of the budget error that
+    ended it (None when it ran to the end)."""
+    out = []
+    try:
+        for item in stream:
+            out.append(item)
+    except (BudgetExceededError, StreamBudgetError) as exc:
+        return out, str(exc)
+    return out, None
+
+
+def _reference(klass, bottom, limits):
+    limits = limits or EnumerationLimits()
+    return _drain(stream_generators(bottom, EXPANSIONS[klass],
+                                    limits.max_rows_generated, limits.max_triangles))
+
+
+class TestFlatStream:
+    @settings(max_examples=150, deadline=None)
+    @given(CLASS_AND_BOTTOM, LIMITS)
+    def test_same_sequence_and_budget_error_as_reference(self, case, limits):
+        klass, bottom = case
+        triangles, error = _drain(STREAMS[klass](bottom, limits))
+        assert ([t.rows for t in triangles], error) == _reference(klass, bottom, limits)
+
+    def test_pinned_budget_points(self):
+        bottom = (2, 4, 5, 8, 9)
+        for limits in (EnumerationLimits(max_triangles=1), EnumerationLimits(max_triangles=16939),
+                       EnumerationLimits(max_rows_generated=1), EnumerationLimits(max_rows_generated=40)):
+            triangles, error = _drain(enumerate_mt(bottom, limits))
+            assert ([t.rows for t in triangles], error) == _reference("mt", bottom, limits)
+
+    def test_single_entry_bottom_ignores_the_row_budget(self):
+        limits = EnumerationLimits(max_rows_generated=1, max_triangles=1)
+        assert [t.rows for t in enumerate_gmt((7,), limits)] == [((7,),)]
+
+    def test_empty_bottom_is_rejected_when_read(self):
+        stream = enumerate_gmt(())
+        with pytest.raises(ValueError, match="must not be empty"):
+            next(stream)
+
+
+class TestCountTriangles:
+    @settings(max_examples=300, deadline=None)
+    @given(CLASS_AND_BOTTOM, LIMITS)
+    def test_equals_stream_length_or_same_budget_error(self, case, limits):
+        klass, bottom = case
+        try:
+            expected = ("count", sum(1 for _ in STREAMS[klass](bottom, limits)))
+        except BudgetExceededError as exc:
+            expected = ("budget", str(exc))
+        try:
+            got = ("count", count_triangles(klass, bottom, limits))
+        except BudgetExceededError as exc:
+            got = ("budget", str(exc))
+        assert got == expected
+
+    def test_golden_counts(self):
+        assert count_triangles("gmt", (4, 2, 1, 3)) == 4
+        assert count_triangles("mt", (2, 4, 5, 8, 9)) == 16939
+        assert count_triangles("mt", (1, 2, 3)) == 7
+        assert count_triangles("dmt", (3, 2, 1)) == len(list(enumerate_dmt((3, 2, 1))))
+        assert count_triangles("gmt", (5,)) == 1
+        assert count_triangles("dmt", (2, 1)) == 0
+
+    def test_dmt_row_with_a_value_three_times_has_none(self):
+        assert count_triangles("dmt", (1, 1, 1)) == 0
+        assert count_triangles("dmt", (3, 2, 2, 2, 0)) == 0
+
+    def test_same_bottom_row_checks_as_the_streams(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            count_triangles("mt", (2, 1))
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            count_triangles("dmt", (1, 2))
+        with pytest.raises(ValueError, match="must not be empty"):
+            count_triangles("gmt", ())
+        with pytest.raises(ValueError, match="unknown triangle class"):
+            count_triangles("tn", (1, 2))
+
+    def test_budget_error_at_the_stream_point(self):
+        limits = EnumerationLimits(max_triangles=16938)
+        with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
+            count_triangles("mt", (2, 4, 5, 8, 9), limits)
+        assert count_triangles("mt", (2, 4, 5, 8, 9), EnumerationLimits(max_triangles=16939)) == 16939
+        with pytest.raises(BudgetExceededError, match="row generation budget exhausted"):
+            count_triangles("mt", (2, 4, 5, 8, 9), EnumerationLimits(max_rows_generated=3))
+
+    def test_never_expands_more_rows_than_the_stream(self, monkeypatch):
+        calls = []
+
+        def counted(row):
+            calls.append(row)
+            return mt_admissible_rows(row)
+
+        monkeypatch.setattr(monotri.rows, "mt_admissible_rows", counted)
+        for limits in (None, EnumerationLimits(max_triangles=5000), EnumerationLimits(max_rows_generated=900)):
+            calls.clear()
+            _drain(enumerate_mt((2, 4, 5, 8, 9), limits))
+            streamed = list(calls)
+            calls.clear()
+            try:
+                count_triangles("mt", (2, 4, 5, 8, 9), limits)
+            except BudgetExceededError:
+                pass
+            assert len(calls) < len(streamed)
+            assert set(calls) <= set(streamed)

@@ -2,6 +2,8 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monotri import (
     SignStatistics,
@@ -43,6 +45,25 @@ class TestTriangleType:
     def test_integer_entries_enforced(self):
         with pytest.raises(TypeError):
             Triangle([(1.5,)])
+
+    def test_errors_name_the_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"^row 2 has 3 entries, expected 2$"):
+            Triangle([(1,), (1, 2, 3)])
+        with pytest.raises(ValueError, match=r"^row 2 has 1 entries, expected 2$"):
+            Triangle([(1,), ("x",)])
+        with pytest.raises(TypeError, match=r"^non-integer entry 1\.0 in row 2$"):
+            Triangle([(1,), (2, 1.0)])
+        with pytest.raises(TypeError, match=r"^non-integer entry 'x' in row 1$"):
+            Triangle([("x",), (2, 1.0)])
+
+    def test_int_subclasses_are_accepted(self):
+        t = Triangle([(True,), (False, 2)])
+        assert t.rows == ((True,), (False, 2))
+        assert triangle_to_json(t) == "[[true],[false,2]]"
+
+    def test_rows_become_tuples(self):
+        t = Triangle(iter([[1], range(2)]))
+        assert t.rows == ((1,), (0, 1))
 
     def test_accessor_and_equality(self):
         t = Triangle([(2,), (2, 2)])
@@ -209,3 +230,17 @@ class TestSerialization:
             triangle_from_json('{"rows": []}')
         with pytest.raises(ValueError):
             tn_from_json("[[1]]")
+
+
+BIG = st.integers(-10**30, 10**30)
+TRIANGLE_ROWS = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[st.lists(BIG, min_size=i, max_size=i) for i in range(1, n + 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(TRIANGLE_ROWS)
+def test_triangle_json_matches_dumps(rows):
+    t = Triangle(rows)
+    text = triangle_to_json(t)
+    assert text == json.dumps([list(r) for r in rows], separators=(",", ":"))
+    assert triangle_from_json(text) == t
