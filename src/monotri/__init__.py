@@ -24,7 +24,6 @@ from .evaluate import (
     extended_sum,
     operator_apply,
     operator_apply_alt,
-    third_extension_eval,
 )
 from .identities import (
     CONJECTURES,
@@ -124,7 +123,6 @@ __all__ = [
     "sc_statistic",
     "signed_gmt_count",
     "signed_tn_count",
-    "third_extension_eval",
     "tn_from_json",
     "tn_to_json",
     "triangle_from_json",

@@ -72,7 +72,7 @@ def cmd_alpha(args) -> int:
         for value in values:
             print(value)
         return 0 if len(set(values)) == 1 else 1
-    cache = EvalCache()
+    cache = EvalCache(route=args.method)
     existed = bool(args.cache_file) and os.path.exists(args.cache_file)
     if existed:
         cache.load(args.cache_file)
@@ -112,6 +112,8 @@ def cmd_enumerate(args) -> int:
 def _n_values(args) -> tuple[int, ...] | None:
     if args.n_range is not None:
         lo, hi = parse_window(args.n_range)
+        if lo > hi:
+            raise ValueError(f"empty --n-range {args.n_range}")
         return tuple(range(lo, hi + 1))
     if args.n is not None:
         return (args.n,)

@@ -276,6 +276,8 @@ def grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
+    if not exhaustive and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if exhaustive:
         return [row for row in product(range(lo, hi + 1), repeat=n)]
     rng = random.Random(seed)
@@ -300,6 +302,8 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     """
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
+    if name in ("lemma1", "operator-alt") and functions < 1:
+        raise ValueError(f"functions must be at least 1, got {functions}")
     started = time.perf_counter()
     rows = grid_rows(n, window, samples, seed, exhaustive)
     grid = (f"n={n}, window={window[0]}..{window[1]}, "

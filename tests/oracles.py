@@ -2,8 +2,9 @@
 
 Everything here enumerates candidate objects over a bounded value box and
 filters with plain predicates, except the recursions at the end: the two
-operator recursions, written as nested closures straight from their
-recursive definitions, and the triangle stream as nested generators.
+operator recursions and the inclusion-exclusion expansion, written as nested
+closures straight from their definitions, and the triangle stream as nested
+generators.
 None of it shares code with the package under test; it exists so the fast
 implementations are checked against a second, dumb route.
 """
@@ -218,6 +219,67 @@ def operator_alt_closures(k, fn):
         return fn(prefix + (second, second))
 
     return operator_alt_closures(k[:-1], summed) - operator_alt_closures(k[:-2], doubled)
+
+
+def memo_closures(row, cache, apply):
+    """The polynomial at ``row`` by the recursion ``apply(r, ev)`` (one of the
+    operator recursions above, applied to the evaluation itself), memoized in
+    ``cache`` through its ``get`` and ``put``."""
+    def ev(r):
+        if len(r) == 1:
+            return 1
+        cached = cache.get(r)
+        if cached is not None:
+            return cached
+        value = apply(r, ev)
+        cache.put(r, value)
+        return value
+
+    return ev(tuple(row))
+
+
+def _nonadjacent_sets(lo, hi):
+    """Subsets of lo..hi with no two consecutive elements, smallest first,
+    lexicographic within each size."""
+    idxs = range(lo, hi + 1)
+    for p in range(len(idxs) + 1):
+        for combo in combinations(idxs, p):
+            if all(b - a >= 2 for a, b in zip(combo, combo[1:])):
+                yield combo
+
+
+def third_closures(row, cache):
+    """The inclusion-exclusion expansion as nested closures over a memo: the
+    sum over families of non-adjacent indices 2 <= i_1 < ... < i_p <= n-1,
+    with sign (-1)**p, of nested extended sums, free position j from r[j] to
+    r[j+1], each chosen index i pinning positions i-1 and i to r[i-1]
+    (1-based)."""
+    def ev(r):
+        n = len(r)
+        if n == 1:
+            return 1
+        cached = cache.get(r)
+        if cached is not None:
+            return cached
+        total = 0
+        for chosen in _nonadjacent_sets(2, n - 1):
+            bounds = [(r[j], r[j + 1]) for j in range(n - 1)]
+            for i in chosen:
+                bounds[i - 2] = (r[i - 1], r[i - 1])
+                bounds[i - 1] = (r[i - 1], r[i - 1])
+
+            def nested(j, prefix):
+                if j == n - 1:
+                    return ev(prefix)
+                a, b = bounds[j]
+                return _ext_sum(lambda v: nested(j + 1, prefix + (v,)), a, b)
+
+            term = nested(0, ())
+            total += term if len(chosen) % 2 == 0 else -term
+        cache.put(r, total)
+        return total
+
+    return ev(tuple(row))
 
 
 class StreamBudgetError(RuntimeError):

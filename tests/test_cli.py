@@ -69,7 +69,22 @@ class TestAlphaCommand:
     def test_new_cache_file_is_written_even_without_entries(self, tmp_path):
         path = tmp_path / "cache.tsv"
         assert main(["alpha", "--row", "1,2,3", "--method", "gmt", "--cache-file", str(path)]) == 0
-        assert path.read_text().startswith("monotri-cache v1 ")
+        assert path.read_text().startswith("monotri-cache v2 route=gmt ")
+
+    def test_cache_file_of_another_route_exits_with_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "cache.tsv"
+        row = ["--row", "1,2,3,4,5"]
+        assert main(["alpha", *row, "--cache-file", str(path)]) == 0
+        assert capsys.readouterr().out == "429\n"
+        assert path.read_text().startswith("monotri-cache v2 route=operator ")
+        for method in ("third", "operator_alt"):
+            assert main(["alpha", *row, "--method", method, "--cache-file", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "holds values of route 'operator'" in captured.err
+        assert main(["alpha", *row, "--method", "third", "--cache-file", str(tmp_path / "third.tsv")]) == 0
+        assert main(["alpha", *row, "--method", "mt", "--cache-file", str(path)]) == 0
+        assert capsys.readouterr().out == "429\n429\n"
 
     def test_tampered_value_exits_with_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
@@ -125,6 +140,26 @@ class TestEnumerateCommand:
 
 
 class TestVerifyCommand:
+    def test_checking_nothing_is_a_usage_error(self, capsys):
+        for argv, message in [
+            (["cyclic", "--n", "3", "--samples", "0"], "samples must be at least 1"),
+            (["cyclic", "--n", "3", "--samples", "-5"], "samples must be at least 1"),
+            (["reduction", "--samples", "0"], "samples must be at least 1"),
+            (["lemma1", "--functions", "0"], "functions must be at least 1"),
+            (["operator-alt", "--functions", "-1"], "functions must be at least 1"),
+            (["ratio-scan", "--k", "4", "--n-range", "6..5"], "empty --n-range 6..5"),
+            (["rev-dup", "--n-range", "3..2"], "empty --n-range 3..2"),
+        ]:
+            assert main(["verify", *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+    def test_exhaustive_grid_ignores_samples(self, capsys):
+        assert main(["verify", "cyclic", "--n", "2", "--window", "0..1", "--exhaustive",
+                     "--samples", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["checked"] == 4
+
     def test_cyclic_passes(self):
         proc = run_cli("verify", "cyclic", "--n", "3", "--window", "-4..4",
                        "--samples", "40", "--seed", "7")

@@ -15,10 +15,16 @@ from monotri import (
     operator_apply,
     operator_apply_alt,
     row_sum_identity,
-    third_extension_eval,
 )
+from monotri import evaluate
 from monotri.identities import hashed_row_function
-from oracles import operator_alt_closures, operator_closures, signed_gmt_brute
+from oracles import (
+    memo_closures,
+    operator_alt_closures,
+    operator_closures,
+    signed_gmt_brute,
+    third_closures,
+)
 
 small_int = st.integers(min_value=-8, max_value=8)
 
@@ -114,6 +120,8 @@ class TestFlatWalks:
         (tuple(range(1, 12)), "operator", 31095744852375, 1023, 57961),
         ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 3091, 335481),
         (tuple(range(1, 9)), "operator_alt", 10850216, 803, 47322),
+        (tuple(range(1, 9)), "third", 10850216, 803, 47322),
+        ((0, 1000, 2000), "operator", 1003003000, 2001, 1000000),
     ])
     def test_memo_counters(self, row, method, value, entries, hits):
         # One memo lookup per term the walks yield: a change to the term
@@ -121,6 +129,67 @@ class TestFlatWalks:
         cache = EvalCache()
         assert alpha(row, method, cache) == value
         assert (len(cache), cache.hits, cache.misses) == (entries, hits, entries)
+
+    def test_memo_counters_on_raw_keys(self):
+        # Rows that differ by a translation are stored apart.
+        cache = EvalCache(normalize=False)
+        assert alpha((3, -1, 2, 0, -2, 1, 4), "operator", cache) == -2574
+        assert (len(cache), cache.hits, cache.misses) == (4231, 380141, 4231)
+
+
+ROUTES = {
+    "operator": lambda row, cache: memo_closures(row, cache, operator_closures),
+    "operator_alt": lambda row, cache: memo_closures(
+        row, cache, lambda r, ev: (operator_alt_closures if len(r) >= 3 else operator_closures)(r, ev)),
+    "third": third_closures,
+}
+
+
+def counters(cache):
+    return len(cache), cache.hits, cache.misses
+
+
+class TestMemoKernel:
+    """The memo kernel against the memoized closure recursions: the same
+    values and the same memo lookups, hits and misses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(bound, min_size=1, max_size=5))
+    @example([5])
+    @example([0, 0, 0])
+    @example([4, 2, 1, 3])
+    @example([6, -6, 6, -6, 6])
+    def test_third_matches_closure_recursion(self, row):
+        cache, reference = EvalCache(), EvalCache()
+        assert alpha(row, "third", cache) == third_closures(row, reference)
+        assert counters(cache) == counters(reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(ROUTES)), st.booleans(),
+           st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=3))
+    def test_shared_cache_matches_closure_recursion(self, method, normalize, rows):
+        # One cache across several rows, so later rows hit what earlier rows stored.
+        cache, reference = EvalCache(normalize), EvalCache(normalize)
+        for row in rows:
+            assert alpha(row, method, cache) == ROUTES[method](row, reference)
+            assert counters(cache) == counters(reference)
+        assert cache._store == reference._store
+
+    @pytest.mark.parametrize("wide", [1, 10**9])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_both_key_builders(self, monkeypatch, wide, normalize):
+        # Every box on one side of the cutover, then every box on the other.
+        monkeypatch.setattr(evaluate, "_WIDE_BOX", wide)
+        for row, method in [((3, -1, 2, 0, -2, 1), "operator"), ((7, 0, 9, 2), "operator_alt"),
+                            ((2, 9, 1, 4, 4), "third"), ((0, 30, 60), "operator")]:
+            cache, reference = EvalCache(normalize), EvalCache(normalize)
+            assert alpha(row, method, cache) == ROUTES[method](row, reference)
+            assert counters(cache) == counters(reference)
+
+    def test_wide_pair_costs_no_lookups(self):
+        cache = EvalCache()
+        assert alpha((0, 10**8), "operator", cache) == 100000001
+        assert counters(cache) == (1, 0, 1)
 
 
 class TestAlpha:
@@ -174,14 +243,15 @@ class TestAlpha:
 
 class TestThirdExtension:
     def test_golden_values(self):
-        assert third_extension_eval((4, 2, 1, 3)) == -2
-        assert third_extension_eval((1, 2, 3)) == 7
-        assert third_extension_eval((5,)) == 1
+        cache = EvalCache()
+        assert alpha((4, 2, 1, 3), "third", cache) == -2
+        assert alpha((1, 2, 3), "third", cache) == 7
+        assert alpha((5,), "third", cache) == 1
 
     def test_agrees_with_operator_on_window(self):
-        cache = EvalCache()
+        cache, third = EvalCache(), EvalCache()
         for k in product(range(0, 3), repeat=4):
-            assert third_extension_eval(k) == alpha(k, "operator", cache), k
+            assert alpha(k, "third", third) == alpha(k, "operator", cache), k
 
 
 class TestEvalCache:
@@ -221,9 +291,10 @@ class TestEvalCache:
             EvalCache().load(path)
 
     @staticmethod
-    def write_cache_file(path, body, normalize=1):
+    def write_cache_file(path, body, normalize=1, route="operator", version=2):
         digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-        path.write_text(f"monotri-cache v1 normalize={normalize} sha256={digest}\n{body}")
+        fields = f"route={route} normalize={normalize}" if version == 2 else f"normalize={normalize}"
+        path.write_text(f"monotri-cache v{version} {fields} sha256={digest}\n{body}")
 
     def test_header_and_checksum(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -232,8 +303,9 @@ class TestEvalCache:
         assert cache.load(path) == 1
         assert alpha((10, 15), "operator", cache) == 6
         for bad in ("2\t0,5\t6\n",  # no header
-                    "monotri-cache v1 normalize=1\n2\t0,5\t6\n",
-                    "monotri-cache v1 normalize=1 sha256=" + "0" * 64 + "\n2\t0,5\t6\n"):
+                    "monotri-cache v2 route=operator normalize=1\n2\t0,5\t6\n",
+                    "monotri-cache v2 normalize=1 sha256=" + "0" * 64 + "\n2\t0,5\t6\n",
+                    "monotri-cache v2 route=operator normalize=1 sha256=" + "0" * 64 + "\n2\t0,5\t6\n"):
             path.write_text(bad)
             with pytest.raises(ValueError):
                 EvalCache().load(path)
@@ -252,6 +324,33 @@ class TestEvalCache:
         assert raw.load(path) == 1
         assert alpha((10, 15), "operator", raw) == 6
 
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        self.write_cache_file(path, "2\t0,5\t6\n", version=1)
+        with pytest.raises(ValueError, match="unsupported format version 1"):
+            EvalCache().load(path)
+
+    def test_route_named_and_checked(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = EvalCache(route="third")
+        alpha((4, 2, 1, 3), "third", cache)
+        cache.save(path)
+        assert path.read_text().startswith("monotri-cache v2 route=third normalize=1 sha256=")
+        assert EvalCache(route="third").load(path) == len(cache)
+        for other in ("operator", "operator_alt"):
+            with pytest.raises(ValueError, match="route 'third', not '" + other):
+                EvalCache(route=other).load(path)
+        # gmt and mt keep no memo: their caches read any file, and any route
+        # reads theirs.
+        assert EvalCache(route="gmt").load(path) == len(cache)
+        EvalCache(route="mt").save(path)
+        assert EvalCache(route="third").load(path) == 0
+        self.write_cache_file(path, "2\t0,5\t6\n", route="nosuch")
+        with pytest.raises(ValueError, match="malformed header"):
+            EvalCache().load(path)
+        with pytest.raises(ValueError, match="unknown route"):
+            EvalCache(route="nosuch")
+
     def test_failed_load_merges_nothing(self, tmp_path):
         path = tmp_path / "cache.tsv"
         self.write_cache_file(path, "2\t0,5\t6\n2\t3,5\t3\n")
@@ -267,7 +366,7 @@ class TestEvalCache:
         alpha((4, 2, 1, 3), "operator", cache)
         cache.save(path)
         header = path.read_text().splitlines()[0]
-        assert header.startswith("monotri-cache v1 normalize=1 sha256=")
+        assert header.startswith("monotri-cache v2 route=operator normalize=1 sha256=")
         assert list(tmp_path.iterdir()) == [path]
         assert EvalCache().load(path) == len(cache)
 
