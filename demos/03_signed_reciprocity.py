@@ -7,12 +7,19 @@ the polynomial exactly.  The admissible-row machinery exposes the same
 structure level by level.
 """
 
-from monotri import alpha, enumerate_gmt, gmt_admissible_rows, sc_statistic, signed_gmt_count
+from monotri import (
+    alpha,
+    enumerate_gmt,
+    gmt_admissible_rows,
+    row_sign_changes,
+    sc_statistic,
+    signed_gmt_count,
+)
 
 row = (4, 2, 1, 3)
 print(f"Admissible penultimate rows above {row}:")
-for sub, sc in gmt_admissible_rows(row):
-    print(f"  {sub}  contributes sign {(-1) ** sc:+d}")
+for sub in gmt_admissible_rows(row):
+    print(f"  {sub}  contributes sign {(-1) ** row_sign_changes(row, sub):+d}")
 
 print(f"\nSign-weighted triangle census for bottom row {row}:")
 total = 0

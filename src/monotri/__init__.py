@@ -44,7 +44,6 @@ from .identities import (
 )
 from .report import VerificationReport, render_table
 from .rows import (
-    AdmissibleRow,
     BudgetExceededError,
     EnumerationLimits,
     count_triangles,
@@ -56,6 +55,7 @@ from .rows import (
     mt_admissible_rows,
     row_sign_changes,
     signed_gmt_count,
+    triangle_totals,
 )
 from .triangles import (
     SignStatistics,
@@ -78,7 +78,6 @@ from .triangles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleRow",
     "BudgetExceededError",
     "CONJECTURES",
     "ConjectureSpec",
@@ -127,6 +126,7 @@ __all__ = [
     "tn_to_json",
     "triangle_from_json",
     "triangle_to_json",
+    "triangle_totals",
     "validate_dmt",
     "validate_gmt",
     "validate_monotone_triangle",

@@ -16,7 +16,7 @@ import re
 import sys
 import time
 
-from .decorated import enumerate_tn, signed_tn_count, verify_reduction
+from .decorated import enumerate_tn, verify_reduction
 from .evaluate import METHODS, EvalCache, alpha, applicable_methods
 from .identities import (
     CONJECTURES,
@@ -31,23 +31,26 @@ from .report import VerificationReport, render_table
 from .rows import (
     BudgetExceededError,
     EnumerationLimits,
-    count_triangles,
     enumerate_dmt,
     enumerate_gmt,
     enumerate_mt,
+    triangle_totals,
 )
-from .triangles import sc_statistic, tn_to_json, triangle_to_json
+# sc_statistic is unused here; bench/tracing.py looks it up on this module to wrap it.
+from .triangles import sc_statistic, tn_to_json, triangle_to_json  # noqa: F401
 
 
+# argparse passes [] instead of a string for an option value of "--", such as
+# --row=--, so the parsers below read anything that is not a string as unparsable.
 def parse_row(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
-    except ValueError:
+    except (AttributeError, ValueError):
         raise ValueError(f"cannot parse row {text!r}: expected comma-separated integers")
 
 
 def parse_window(text: str) -> tuple[int, int]:
-    parts = text.split("..")
+    parts = text.split("..") if isinstance(text, str) else []
     if len(parts) != 2:
         raise ValueError(f"cannot parse window {text!r}: expected a..b")
     try:
@@ -87,22 +90,21 @@ def cmd_alpha(args) -> int:
 def cmd_enumerate(args) -> int:
     row = parse_row(args.row)
     limits = _limits(args)
-    if args.count and args.klass != "tn":
-        print(count_triangles(args.klass, row, limits))
-        return 0
     if args.klass == "tn":
         stream = enumerate_tn(row, limits)
         to_json = tn_to_json
-        sign_of = lambda o: o.sign
+    elif args.count or args.signed:
+        count, signed = triangle_totals(args.klass, row, limits)
+        print(signed if args.signed else count)
+        return 0
     else:
         factory = {"mt": enumerate_mt, "dmt": enumerate_dmt, "gmt": enumerate_gmt}[args.klass]
         stream = factory(row, limits)
         to_json = triangle_to_json
-        sign_of = lambda t: sc_statistic(t).sign
     if args.count:
         print(sum(1 for _ in stream))
     elif args.signed:
-        print(sum(sign_of(obj) for obj in stream))
+        print(sum(obj.sign for obj in stream))
     else:
         for obj in stream:
             print(to_json(obj))

@@ -183,7 +183,7 @@ def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> Verific
             if o.weight != sc_statistic(t).sc:
                 failures.append({"check": "weight equals sign-change count", "object": repr(o)})
 
-    lhs, rhs = signed_tn_count(bottom), signed_gmt_count(bottom)
+    lhs, rhs = sum(o.sign for o in objects), signed_gmt_count(bottom)
     if lhs != rhs:
         failures.append({"check": "signed totals", "lhs": str(lhs), "rhs": str(rhs)})
 

@@ -388,7 +388,9 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
 
     All methods agree; ``mt`` requires a strictly increasing row.  ``cache``
     memoizes sub-evaluations for the recursive methods and may be shared
-    across calls; results are identical with or without one.
+    across calls of one method; results are identical with or without one.
+    An empty cache takes ``method`` as its route; a cache that holds values
+    of another route raises ``ValueError``.
     """
     row = _check_row(row)
     if method not in METHODS:
@@ -401,6 +403,9 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
         return signed_gmt_count(row)
     if cache is None:
         cache = EvalCache()
+    elif len(cache) and cache.route != method:
+        raise ValueError(f"the cache holds values of route {cache.route!r}, not {method!r}")
+    cache.route = method
     if method == "third":
         return _memo_eval(row, cache, _third_boxes)
     return _memo_eval(row, cache, partial(_op_boxes, alt=method == "operator_alt"))

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from .evaluate import EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
 from .report import VerificationReport
-from .rows import gmt_admissible_rows
+from .rows import gmt_admissible_rows, row_sign_changes
 from .triangles import Triangle
 
 Row = tuple[int, ...]
@@ -254,9 +254,9 @@ def row_sum_identity(k, fn: Evaluator, zero_on_triple_rows: bool = False) -> tup
     masked = (lambda row: 0 if _has_equal_triple(row) else fn(row)) if zero_on_triple_rows else fn
     lhs = operator_apply(k, masked)
     rhs = 0
-    for row, sc in gmt_admissible_rows(k):
+    for row in gmt_admissible_rows(k):
         term = masked(row)
-        rhs += term if sc % 2 == 0 else -term
+        rhs += -term if row_sign_changes(k, row) & 1 else term
     return lhs, rhs
 
 
@@ -406,6 +406,15 @@ def _hole_row(n: int, i: int) -> Row:
     return tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 1, n + 1))
 
 
+def _hole_one_desc(p: dict, ev: Evaluator) -> tuple[int, int]:
+    """The descent insertion at i against the staircases without j, weighed by j - i."""
+    n, i = p["n"], p["i"]
+    return (
+        ev(_hole_row(n, i)),
+        -sum((j - i) * ev(tuple(x for x in range(1, n + 1) if x != j)) for j in range(1, n + 1)),
+    )
+
+
 @dataclass(frozen=True)
 class Family:
     kind: str           # "proven" or "conjecture"
@@ -481,21 +490,13 @@ CONJECTURES: dict[str, Family] = {
         "conjecture", 2,
         "descent insertion with one staircase argument removed matches the refined counts",
         lambda n: [{"n": n, "i": i} for i in range(1, n)],
-        lambda p, ev: (
-            ev(_hole_row(p["n"], p["i"])),
-            -sum((j - p["i"]) * ev(tuple(x for x in range(1, p["n"] + 1) if x != j))
-                 for j in range(1, p["n"] + 1)),
-        ),
+        _hole_one_desc,
     ),
     "hole-one-desc-i1": Family(
         "proven", 2,
         "the i = 1 case of the descent insertion with a removed argument",
         lambda n: [{"n": n, "i": 1}],
-        lambda p, ev: (
-            ev(_hole_row(p["n"], 1)),
-            -sum((j - 1) * ev(tuple(x for x in range(1, p["n"] + 1) if x != j))
-                 for j in range(1, p["n"] + 1)),
-        ),
+        _hole_one_desc,
     ),
     "ratio-k4": Family(
         "conjecture", 4,

@@ -4,14 +4,15 @@ Every triangle class here is defined by conditions between consecutive rows,
 so triangles with a prescribed bottom row are generated bottom-up: compute the
 admissible rows that may sit directly above a given row, then recurse.  All
 enumeration is depth-first in lexicographic order of the successive rows,
-which makes every stream deterministic.  :func:`count_triangles` walks the
+which makes every stream deterministic.  :func:`triangle_totals` walks the
 same tree in the same order without building triangles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from math import inf
+from typing import Callable, Iterator
 
 from .triangles import Triangle
 
@@ -35,11 +36,6 @@ class EnumerationLimits:
 DEFAULT_LIMITS = EnumerationLimits()
 
 
-class AdmissibleRow(NamedTuple):
-    row: tuple[int, ...]
-    sc_contribution: int
-
-
 def row_sign_changes(lower, upper) -> int:
     """Newcomers and sign-changing pairs of ``upper`` against ``lower`` below.
 
@@ -55,9 +51,10 @@ def row_sign_changes(lower, upper) -> int:
     return total
 
 
-def gmt_admissible_rows(lower) -> list[AdmissibleRow]:
+def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     """Rows admissible directly above ``lower`` in a generalized monotone
-    triangle, each with its sign-change contribution, in lexicographic order.
+    triangle, in lexicographic order.  The sign-change contribution of a row
+    l is ``row_sign_changes(lower, l)``.
 
     A row l is admissible when the two-row fragment (l above ``lower``)
     satisfies the three class conditions and l contains no three consecutive
@@ -75,12 +72,12 @@ def gmt_admissible_rows(lower) -> list[AdmissibleRow]:
     m = len(k)
     if m < 2:
         raise ValueError("the lower row needs at least two entries")
-    out: list[AdmissibleRow] = []
+    out: list[tuple[int, ...]] = []
     last = m - 2
 
     def fill(j: int, prefix: tuple[int, ...], forced: int | None):
         if j > last:
-            out.append(AdmissibleRow(prefix, row_sign_changes(k, prefix)))
+            out.append(prefix)
             return
         lo, hi = min(k[j], k[j + 1]), max(k[j], k[j + 1])
         candidates = (forced,) if forced is not None else range(lo, hi + 1)
@@ -156,17 +153,13 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     return out
 
 
-def _gmt_rows(row: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [ar.row for ar in gmt_admissible_rows(row)]
-
-
 def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable | None]:
     """Check ``bottom`` against the triangle class and return it as a tuple
     with the class's expansion (row -> admissible rows above it).  The
     expansion is None when no triangle of the class has this bottom row."""
     bottom = tuple(bottom)
     if klass == "gmt":
-        return bottom, _gmt_rows
+        return bottom, gmt_admissible_rows
     if klass == "mt":
         if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
             raise ValueError("the bottom row must be strictly increasing")
@@ -245,30 +238,34 @@ def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[T
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
-def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None) -> int:
-    """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
-    bottom row: the length of ``enumerate_<klass>(bottom, limits)``, without
-    building a triangle.
+def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
+    """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
+    ("gmt", "mt" or "dmt") with the given bottom row, without building one;
+    no budget applies when ``limits`` is None.
 
     The walk visits rows in stream order and charges both budgets as the
     stream does.  A row whose subtree was already walked is skipped whole,
-    charging the stored (triangles, rows generated) of the subtree, when that
-    fits in what is left of both budgets; otherwise the walk goes into it.
-    So the walk raises the stream's ``BudgetExceededError`` at the same point
-    and never expands a row the stream would not.
+    charging its stored (triangles, rows generated), when that fits in what
+    is left of both budgets; otherwise the walk goes into it.  So it raises
+    the stream's ``BudgetExceededError`` at the same point and never expands
+    a row the stream would not.  A row's signed total is the sum, over the
+    rows above it, of their signed totals times the edge sign
+    (-1)**row_sign_changes, taken once per row gone into or skipped.
     """
     bottom, expand = _class_expansion(klass, bottom)
     if expand is None:
-        return 0
+        return 0, 0
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     if len(bottom) == 1:
-        return 1
-    limits = limits or DEFAULT_LIMITS
-    max_rows, max_triangles = limits.max_rows_generated, limits.max_triangles
-    walked: dict[tuple[int, ...], tuple[int, int]] = {}
+        return 1, 1
+    # An unlimited budget is an infinite bound; counts stay exact integers.
+    max_rows, max_triangles = (inf, inf) if limits is None else (limits.max_rows_generated, limits.max_triangles)
+    walked: dict[tuple[int, ...], tuple[int, int, int]] = {}
     triangles = rows = 0
-    stack = []  # (row, iterator over the rows above it, triangles and rows before it)
+    # A frame: the row, an iterator over the rows above it, the triangles and rows
+    # before it, its signed total so far, and the sign of the edge being walked.
+    stack = []
     top = bottom
     while True:
         before = triangles, rows
@@ -276,53 +273,46 @@ def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None)
         rows += len(above)
         if rows > max_rows:
             raise BudgetExceededError("row generation budget exhausted")
-        if len(top) == 2:
+        if len(top) > 2:
+            stack.append([top, iter(above), *before, 0, 1])
+        else:
+            # each row above a row of two entries is the apex of one triangle
             triangles += len(above)
             if triangles > max_triangles:
                 raise BudgetExceededError("triangle budget exhausted")
-            walked[top] = (len(above), len(above))
-        else:
-            stack.append((top, iter(above), before))
-        while stack:
-            row, rest, (t0, r0) = stack[-1]
-            for top in rest:
+            signed = sum(-1 if row_sign_changes(top, apex) & 1 else 1 for apex in above)
+            stack.append([top, iter(()), *before, signed, 1])
+        while True:
+            frame = stack[-1]
+            row = frame[0]
+            for top in frame[1]:
+                sign = -1 if row_sign_changes(row, top) & 1 else 1
                 seen = walked.get(top)
                 if seen is None or triangles + seen[0] > max_triangles or rows + seen[1] > max_rows:
+                    frame[5] = sign
                     break
                 triangles += seen[0]
                 rows += seen[1]
+                frame[4] += sign * seen[2]
             else:
                 stack.pop()
-                walked[row] = (triangles - t0, rows - r0)
+                signed = frame[4]
+                walked[row] = (triangles - frame[2], rows - frame[3], signed)
+                if not stack:
+                    return triangles, signed
+                stack[-1][4] += stack[-1][5] * signed
                 continue
             break
-        else:
-            return triangles
+
+
+def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None) -> int:
+    """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
+    bottom row: the length of ``enumerate_<klass>(bottom, limits)``, or its
+    budget error, from :func:`triangle_totals` without building a triangle."""
+    return triangle_totals(klass, bottom, limits or DEFAULT_LIMITS)[0]
 
 
 def signed_gmt_count(bottom) -> int:
     """Sum of (-1)**sc over all generalized monotone triangles with the given
-    bottom row, computed as a running sum without materializing triangles.
-
-    The recursion sums sign-weighted counts over admissible predecessor rows;
-    memoization on the row makes repeated subproblems cheap.
-    """
-    start = tuple(bottom)
-    if not start:
-        raise ValueError("the bottom row must not be empty")
-    memo: dict[tuple[int, ...], int] = {}
-
-    def count(row: tuple[int, ...]) -> int:
-        if len(row) == 1:
-            return 1
-        cached = memo.get(row)
-        if cached is not None:
-            return cached
-        total = 0
-        for sub, sc in gmt_admissible_rows(row):
-            term = count(sub)
-            total += term if sc % 2 == 0 else -term
-        memo[row] = total
-        return total
-
-    return count(start)
+    bottom row, by the walk of :func:`triangle_totals` with no budget."""
+    return triangle_totals("gmt", bottom, None)[1]

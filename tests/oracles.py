@@ -3,8 +3,8 @@
 Everything here enumerates candidate objects over a bounded value box and
 filters with plain predicates, except the recursions at the end: the two
 operator recursions and the inclusion-exclusion expansion, written as nested
-closures straight from their definitions, and the triangle stream as nested
-generators.
+closures straight from their definitions, the triangle stream as nested
+generators, and the signed triangle count as a memoized closure.
 None of it shares code with the package under test; it exists so the fast
 implementations are checked against a second, dumb route.
 """
@@ -316,3 +316,27 @@ def stream_generators(bottom, expand, max_rows, max_triangles):
             stack.pop()
 
     yield from rec([bottom])
+
+
+def signed_count_closures(bottom, expand):
+    """(number, signed total) of the triangles with the given bottom row, by
+    a memoized closure recursion over ``expand(row)`` (the admissible rows
+    above ``row``): a row's totals are the sums, over the rows above it, of
+    their totals, the signed one weighed by (-1)**sc of the two-row fragment."""
+    memo = {}
+
+    def count(row):
+        if len(row) == 1:
+            return 1, 1
+        cached = memo.get(row)
+        if cached is not None:
+            return cached
+        number = signed = 0
+        for sub in expand(row):
+            n, s = count(sub)
+            number += n
+            signed += s if sc_brute([sub, row]) % 2 == 0 else -s
+        memo[row] = number, signed
+        return number, signed
+
+    return count(tuple(bottom))

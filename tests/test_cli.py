@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
-from monotri import triangle_from_json, validate_gmt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monotri import alpha, triangle_from_json, validate_gmt
 from monotri.cli import main, parse_row, parse_window
 
 
@@ -25,6 +31,23 @@ class TestParsing:
     def test_bad_inputs_exit_with_usage_error(self):
         assert main(["alpha", "--row", "1,x"]) == 2
         assert main(["verify", "cyclic", "--window", "oops"]) == 2
+        # argparse hands the parsers [] for an option value of "--"
+        assert main(["alpha", "--row=--"]) == 2
+        assert main(["verify", "cyclic", "--window=--"]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789-+,. _x\n")))
+    def test_any_text_parses_to_ints_or_exits_with_usage_error(self, text):
+        for parse, argv in ((parse_row, ["alpha", "--row=" + text]),
+                            (parse_window, ["verify", "cyclic", "--window=" + text])):
+            try:
+                parsed = parse(text)
+            except ValueError:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert main(argv) == 2
+                assert err.getvalue().startswith("error: cannot parse")
+            else:
+                assert all(type(v) is int for v in parsed)
 
 
 class TestAlphaCommand:
@@ -104,6 +127,23 @@ class TestEnumerateCommand:
         assert run_cli("enumerate", "gmt", "--row", "4,2,1,3", "--count").stdout == "4\n"
         assert run_cli("enumerate", "gmt", "--row", "4,2,1,3", "--signed").stdout == "-2\n"
         assert run_cli("enumerate", "mt", "--row", "1,2,3", "--count").stdout == "7\n"
+
+    def test_signed_total_without_building_triangles(self, capsys):
+        for klass, row in (("gmt", "3,-1,2,0,-2,1,4"), ("dmt", "8,6,4,3,3,1,0"), ("mt", "2,4,5,8,9")):
+            assert main(["enumerate", klass, "--row", row, "--signed"]) == 0
+            assert capsys.readouterr().out == f"{alpha(parse_row(row))}\n"
+
+    def test_signed_stops_where_the_stream_would(self, capsys):
+        # 5,979,376 triangles, past the default triangle budget
+        started = time.perf_counter()
+        assert main(["enumerate", "gmt", "--row", "0,1,2,3,4,6,8", "--signed"]) == 3
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "triangle budget exhausted" in captured.err
+        argv = ["enumerate", "gmt", "--row", "0,1,2,3,4,6,8", "--signed", "--max-triangles", "5979376"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "5979376\n"
 
     def test_stream_is_json_lines(self):
         proc = run_cli("enumerate", "gmt", "--row", "4,2,1,3")

@@ -351,6 +351,28 @@ class TestEvalCache:
         with pytest.raises(ValueError, match="unknown route"):
             EvalCache(route="nosuch")
 
+    def test_alpha_names_an_empty_cache_by_its_route(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        cache = EvalCache()
+        assert alpha((1, 2, 3, 4), "third", cache) == 42
+        cache.save(path)
+        assert path.read_text().startswith("monotri-cache v2 route=third normalize=1 sha256=")
+        with pytest.raises(ValueError, match="route 'third', not 'operator'"):
+            EvalCache().load(path)
+
+    def test_alpha_rejects_a_cache_of_another_route(self):
+        cache = EvalCache()
+        assert alpha((1, 2, 3, 4), "operator", cache) == 42
+        entries = len(cache)
+        for method in ("third", "operator_alt"):
+            with pytest.raises(ValueError, match="holds values of route 'operator', not '" + method):
+                alpha((1, 2, 3, 4), method, cache)
+        assert len(cache) == entries
+        assert alpha((1, 2, 3, 4, 5), "operator", cache) == 429
+        # gmt and mt keep no memo and leave the cache alone
+        assert alpha((1, 2, 3, 4), "gmt", cache) == alpha((1, 2, 3, 4), "mt", cache) == 42
+        assert cache.route == "operator"
+
     def test_failed_load_merges_nothing(self, tmp_path):
         path = tmp_path / "cache.tsv"
         self.write_cache_file(path, "2\t0,5\t6\n2\t3,5\t3\n")

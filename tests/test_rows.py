@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import monotri.rows
 from monotri import (
-    AdmissibleRow,
     BudgetExceededError,
     EnumerationLimits,
     Triangle,
@@ -21,6 +20,7 @@ from monotri import (
     row_sign_changes,
     sc_statistic,
     signed_gmt_count,
+    triangle_totals,
     validate_dmt,
     validate_gmt,
     validate_monotone_triangle,
@@ -31,6 +31,7 @@ from oracles import (
     gmt_set_brute,
     mt_count_brute,
     sc_brute,
+    signed_count_closures,
     signed_gmt_brute,
     stream_generators,
 )
@@ -52,17 +53,17 @@ def brute_admissible(k):
 
 class TestGmtAdmissibleRows:
     def test_worked_example(self):
-        assert gmt_admissible_rows((4, 2, 1, 3)) == [
-            AdmissibleRow((2, 2, 1), 1),
-            AdmissibleRow((2, 2, 3), 1),
-            AdmissibleRow((3, 1, 1), 2),
-        ]
+        rows = gmt_admissible_rows((4, 2, 1, 3))
+        assert rows == [(2, 2, 1), (2, 2, 3), (3, 1, 1)]
+        assert [row_sign_changes((4, 2, 1, 3), row) for row in rows] == [1, 1, 2]
 
     def test_increasing_pair(self):
-        assert gmt_admissible_rows((1, 2)) == [AdmissibleRow((1,), 0), AdmissibleRow((2,), 0)]
+        assert gmt_admissible_rows((1, 2)) == [(1,), (2,)]
+        assert [row_sign_changes((1, 2), row) for row in gmt_admissible_rows((1, 2))] == [0, 0]
 
     def test_descending_pair_forces_single_newcomer(self):
-        assert gmt_admissible_rows((3, 1)) == [AdmissibleRow((2,), 1)]
+        assert gmt_admissible_rows((3, 1)) == [(2,)]
+        assert row_sign_changes((3, 1), (2,)) == 1
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -73,23 +74,24 @@ class TestGmtAdmissibleRows:
         rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for n in (2, 3, 4, 5) for _ in range(30)]
         rows += [(4, 2, 1, 3), (2, 4, 0), (0, 3, 3, -1), (2, 0, 3, 0), (1, 1, 1, 1)]
         for k in rows:
-            assert list(gmt_admissible_rows(k)) == brute_admissible(k), k
+            got = [(row, row_sign_changes(k, row)) for row in gmt_admissible_rows(k)]
+            assert got == brute_admissible(k), k
 
     def test_contribution_matches_fragment_statistic(self):
         rng = random.Random(7)
         for _ in range(50):
             n = rng.choice([2, 3, 4])
             k = tuple(rng.randint(-3, 3) for _ in range(n))
-            for row, sc in gmt_admissible_rows(k):
+            for row in gmt_admissible_rows(k):
+                sc = row_sign_changes(k, row)
                 assert sc == sc_brute([row, k])
-                assert sc == row_sign_changes(k, row)
                 if n == 2:
                     assert sc == sc_statistic(Triangle([row, k])).sc
 
     def test_strictly_increasing_case_reduces_to_interlacing(self):
         for k in [(1, 2), (1, 3, 5), (0, 2, 3, 7)]:
-            expected = [AdmissibleRow(r, 0) for r in mt_admissible_rows(k)]
-            assert gmt_admissible_rows(k) == expected
+            assert gmt_admissible_rows(k) == mt_admissible_rows(k)
+            assert all(row_sign_changes(k, row) == 0 for row in gmt_admissible_rows(k))
 
 
 class TestMtAdmissibleRows:
@@ -225,17 +227,17 @@ class TestSignedCount:
 
 class TestStructuralProperties:
     def test_penultimate_rows_are_admissible(self):
-        # every penultimate row of a complete triangle is admissible with the
-        # same contribution; admissible rows missing from the stream have no
-        # completion at all
+        # every penultimate row of a complete triangle is admissible, with the
+        # contribution of its two-row fragment; admissible rows missing from
+        # the stream have no completion at all
         for bottom in [(4, 2, 1, 3), (2, 4, 0), (1, 3, 2)]:
-            admissible = dict(gmt_admissible_rows(bottom))
+            admissible = set(gmt_admissible_rows(bottom))
             seen = set()
             for t in enumerate_gmt(bottom):
                 pen = t.rows[-2]
                 seen.add(pen)
                 assert pen in admissible
-                assert row_sign_changes(bottom, pen) == admissible[pen]
+                assert row_sign_changes(bottom, pen) == sc_brute([pen, bottom])
             for row in set(admissible) - seen:
                 assert list(enumerate_gmt(row)) == []
 
@@ -252,7 +254,7 @@ class TestStructuralProperties:
 
 STREAMS = {"gmt": enumerate_gmt, "mt": enumerate_mt, "dmt": enumerate_dmt}
 EXPANSIONS = {
-    "gmt": lambda row: [ar.row for ar in gmt_admissible_rows(row)],
+    "gmt": gmt_admissible_rows,
     "mt": mt_admissible_rows,
     "dmt": dmt_admissible_rows,
 }
@@ -319,14 +321,39 @@ class TestCountTriangles:
     def test_equals_stream_length_or_same_budget_error(self, case, limits):
         klass, bottom = case
         try:
-            expected = ("count", sum(1 for _ in STREAMS[klass](bottom, limits)))
+            signs = [sc_statistic(t).sign for t in STREAMS[klass](bottom, limits)]
+            expected = ("totals", len(signs), sum(signs))
         except BudgetExceededError as exc:
             expected = ("budget", str(exc))
         try:
-            got = ("count", count_triangles(klass, bottom, limits))
+            got = ("totals", count_triangles(klass, bottom, limits),
+                   triangle_totals(klass, bottom, limits or EnumerationLimits())[1])
         except BudgetExceededError as exc:
             got = ("budget", str(exc))
         assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(CLASS_AND_BOTTOM)
+    def test_unbudgeted_totals_match_closure_reference(self, case):
+        klass, bottom = case
+        expected = signed_count_closures(bottom, EXPANSIONS[klass])
+        assert triangle_totals(klass, bottom, None) == expected
+        if klass == "gmt":
+            assert signed_gmt_count(bottom) == expected[1]
+
+    def test_unbudgeted_walk_passes_any_budget(self):
+        # staircase 8 has 10,850,216 triangles, past the default triangle budget
+        assert triangle_totals("gmt", tuple(range(1, 9)), None) == (10850216, 10850216)
+        with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
+            count_triangles("gmt", tuple(range(1, 9)))
+
+    def test_golden_totals(self):
+        assert triangle_totals("gmt", (4, 2, 1, 3), None) == (4, -2)
+        assert triangle_totals("gmt", (3, 1), None) == (1, -1)
+        assert triangle_totals("dmt", (3, 2, 1), None) == (len(list(enumerate_dmt((3, 2, 1)))), -1)
+        assert triangle_totals("mt", (2, 4, 5, 8, 9), EnumerationLimits()) == (16939, 16939)
+        assert triangle_totals("gmt", (5,), None) == (1, 1)
+        assert triangle_totals("dmt", (1, 1, 1), None) == (0, 0)
 
     def test_golden_counts(self):
         assert count_triangles("gmt", (4, 2, 1, 3)) == 4
