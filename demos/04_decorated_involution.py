@@ -11,7 +11,6 @@ pairs and inversions into newcomers.
 from monotri import (
     enumerate_tn,
     involution_step,
-    s_statistic,
     sc_statistic,
     signed_gmt_count,
     signed_tn_count,
@@ -25,7 +24,7 @@ for o in objects:
     partner = involution_step(o)
     role = "fixed point" if partner is None else "cancelled"
     print(f"  rows {o.triangle.rows}")
-    print(f"    specials {sorted(o.special) or '-'}  weight {s_statistic(o)}"
+    print(f"    specials {sorted(o.special) or '-'}  weight {o.weight}"
           f"  sign {o.sign:+d}  [{role}]")
 
 print(f"\nSigned totals agree: decorated {signed_tn_count(row)}"
@@ -34,7 +33,7 @@ print(f"\nSigned totals agree: decorated {signed_tn_count(row)}"
 print("\nFixed points inherit the sign statistic exactly:")
 for o in objects:
     if involution_step(o) is None:
-        print(f"  weight {s_statistic(o)} = sign-change count"
+        print(f"  weight {o.weight} = sign-change count"
               f" {sc_statistic(o.triangle).sc}  for rows {o.triangle.rows}")
 
 print("\nFull mechanical check of the reduction:")

@@ -14,6 +14,7 @@ from .decorated import (
     enumerate_tn,
     involution_step,
     signed_tn_count,
+    tn_totals,
     verify_reduction,
 )
 from .evaluate import (
@@ -63,7 +64,6 @@ from .triangles import (
     Triangle,
     ValidationReport,
     inferred_special_positions,
-    s_statistic,
     sc_statistic,
     tn_from_json,
     tn_to_json,
@@ -118,10 +118,10 @@ __all__ = [
     "row_sum_identity",
     "run_conjecture_suite",
     "run_identity_grid",
-    "s_statistic",
     "sc_statistic",
     "signed_gmt_count",
     "signed_tn_count",
+    "tn_totals",
     "tn_from_json",
     "tn_to_json",
     "triangle_from_json",

@@ -16,7 +16,7 @@ import re
 import sys
 import time
 
-from .decorated import enumerate_tn, verify_reduction
+from .decorated import enumerate_tn, tn_totals, verify_reduction
 from .evaluate import METHODS, EvalCache, alpha, applicable_methods
 from .identities import (
     CONJECTURES,
@@ -59,13 +59,6 @@ def parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse window {text!r}: expected integer bounds")
 
 
-def _limits(args) -> EnumerationLimits:
-    return EnumerationLimits(
-        max_rows_generated=args.max_rows,
-        max_triangles=args.max_triangles,
-    )
-
-
 def cmd_alpha(args) -> int:
     row = parse_row(args.row)
     if args.all_methods:
@@ -89,25 +82,15 @@ def cmd_alpha(args) -> int:
 
 def cmd_enumerate(args) -> int:
     row = parse_row(args.row)
-    limits = _limits(args)
-    if args.klass == "tn":
-        stream = enumerate_tn(row, limits)
-        to_json = tn_to_json
-    elif args.count or args.signed:
-        count, signed = triangle_totals(args.klass, row, limits)
-        print(signed if args.signed else count)
+    limits = EnumerationLimits(max_rows_generated=args.max_rows, max_triangles=args.max_triangles)
+    if args.count or args.signed:
+        totals = tn_totals(row, limits) if args.klass == "tn" else triangle_totals(args.klass, row, limits)
+        print(totals[1] if args.signed else totals[0])
         return 0
-    else:
-        factory = {"mt": enumerate_mt, "dmt": enumerate_dmt, "gmt": enumerate_gmt}[args.klass]
-        stream = factory(row, limits)
-        to_json = triangle_to_json
-    if args.count:
-        print(sum(1 for _ in stream))
-    elif args.signed:
-        print(sum(obj.sign for obj in stream))
-    else:
-        for obj in stream:
-            print(to_json(obj))
+    factory = {"mt": enumerate_mt, "dmt": enumerate_dmt, "gmt": enumerate_gmt, "tn": enumerate_tn}[args.klass]
+    to_json = tn_to_json if args.klass == "tn" else triangle_to_json
+    for obj in factory(row, limits):
+        print(to_json(obj))
     return 0
 
 
@@ -149,7 +132,6 @@ def cmd_verify(args) -> int:
             exhaustive=args.exhaustive,
             i_values=(args.i,) if args.i is not None else None,
             method=args.method,
-            jobs=args.jobs,
             functions=args.functions,
             zero_on_triple_rows=args.zero_triple_rows,
         )
@@ -167,7 +149,7 @@ def cmd_verify(args) -> int:
         reports.append(grid("operator-alt", n=3, samples=25, functions=4))
         reports.append(verify_reduction(parse_row(args.row) if args.row else (4, 2, 1, 3)))
         reports.extend(run_conjecture_suite(ConjectureSpec(
-            method=args.method, jobs=args.jobs, time_budget_secs=args.time_budget_secs)))
+            method=args.method, time_budget_secs=args.time_budget_secs)))
     elif name in GRID_CHECKS:
         reports.append(grid(name))
     elif name == "reduction":
@@ -185,7 +167,7 @@ def cmd_verify(args) -> int:
     elif name in CONJECTURES:
         reports.extend(run_conjecture_suite(ConjectureSpec(
             names=(name,), n_values=_n_values(args), method=args.method,
-            jobs=args.jobs, time_budget_secs=args.time_budget_secs)))
+            time_budget_secs=args.time_budget_secs)))
     else:
         raise ValueError(f"unknown identity {name!r}")
 

@@ -14,9 +14,10 @@ turning into sign-changing pairs and inversions into newcomers.
 from __future__ import annotations
 
 import time
+from itertools import chain, product
 from typing import Iterator
 
-from .evaluate import nonadjacent_index_sets
+from .evaluate import third_families
 from .report import VerificationReport
 from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count
 from .triangles import (
@@ -33,72 +34,80 @@ class InternalConsistencyError(RuntimeError):
     """The involution produced an object outside the decorated class."""
 
 
-def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[TnObject]:
-    """All decorated triangles with the given bottom row.
+def _edges(row, sign: int) -> Iterator[tuple[tuple[int, ...], tuple[Position, ...], int]]:
+    """(row above, the specials it gives ``row``, sign) of each row above
+    ``row``, whose sign is ``sign``: the rows of each inclusion-exclusion box
+    in product order, times the box sign (-1)**(specials + inversions)."""
+    for chosen, ranges, box_sign in third_families(row):
+        special = tuple((len(row), j) for j in chosen)
+        box_sign *= sign
+        for above in product(*ranges):
+            yield above, special, box_sign
 
-    Rows are built bottom-up.  For each already-fixed row, the special subset
-    of its interior positions is chosen first (non-adjacent subsets, smallest
-    size first); specials pin both parents to their own value, and the
-    remaining positions of the row above range over the interval between
-    their lower neighbours (strictly between, under a strict descent).
-    """
-    bottom = tuple(bottom)
+
+def _tn_walk(bottom, limits: EnumerationLimits):
+    """Depth-first walk over the decorated triangles above ``bottom``: ``path``
+    holds the edges (row, specials, sign) taken from the bottom up, ``pending``
+    the edges still to try above each row.  Yields ``path`` at each object; the
+    walk goes on to change it.  Each row taken charges the row budget, and each
+    object the triangle budget before it is yielded."""
     if not bottom:
         raise ValueError("the bottom row must not be empty")
-    limits = limits or DEFAULT_LIMITS
-    n = len(bottom)
     rows_left = limits.max_rows_generated
     triangles_left = limits.max_triangles
-
-    def rec(stack: list[tuple[int, ...]], specials: frozenset[Position]) -> Iterator[TnObject]:
-        nonlocal triangles_left
-        r = n - len(stack) + 1  # 1-based index of the highest built row
-        if r == 1:
+    path, pending = [(bottom, (), 1)], []
+    while True:
+        row, _, sign = path[-1]
+        if len(row) > 1:
+            pending.append(_edges(row, sign))
+        else:
             if triangles_left == 0:
                 raise BudgetExceededError("triangle budget exhausted")
             triangles_left -= 1
-            yield TnObject(Triangle(reversed(stack)), specials)
+            yield path
+            path.pop()
+        while pending:
+            edge = next(pending[-1], None)
+            if edge is not None:
+                rows_left -= 1
+                if rows_left < 0:
+                    raise BudgetExceededError("row generation budget exhausted")
+                path.append(edge)
+                break
+            pending.pop()
+            path.pop()
+        else:
             return
-        current = stack[-1]
-        interior = (2, r - 1) if r >= 3 else (2, 1)
-        for chosen in nonadjacent_index_sets(*interior):
-            pinned = {}
-            for j in chosen:  # special at (r, j) pins positions j-1, j above
-                pinned[j - 2] = current[j - 1]
-                pinned[j - 1] = current[j - 1]
-            choices = []
-            for idx in range(r - 1):
-                if idx in pinned:
-                    choices.append((pinned[idx],))
-                else:
-                    lo, hi = current[idx], current[idx + 1]
-                    if lo <= hi:
-                        choices.append(tuple(range(lo, hi + 1)))
-                    else:
-                        choices.append(tuple(range(hi + 1, lo)))
-            marked = specials | {(r, j) for j in chosen}
 
-            def product(idx: int, prefix: tuple[int, ...]) -> Iterator[TnObject]:
-                nonlocal rows_left
-                if idx == r - 1:
-                    rows_left -= 1
-                    if rows_left < 0:
-                        raise BudgetExceededError("row generation budget exhausted")
-                    stack.append(prefix)
-                    yield from rec(stack, marked)
-                    stack.pop()
-                    return
-                for v in choices[idx]:
-                    yield from product(idx + 1, prefix + (v,))
 
-            yield from product(0, ())
+def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[TnObject]:
+    """All decorated triangles with the given bottom row.
 
-    yield from rec([bottom], frozenset())
+    Rows are built bottom-up.  Above each already-fixed row, the special
+    subset of its interior positions is chosen first (non-adjacent subsets,
+    smallest size first); specials pin both parents to their own value, and
+    the remaining positions of the row above range over the interval between
+    their lower neighbours (strictly between, under a strict descent).
+    """
+    for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
+        rows, specials, _ = zip(*reversed(path))
+        yield TnObject(Triangle(rows), chain.from_iterable(specials))
+
+
+def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int]:
+    """(number, sum of the signs) of the decorated triangles with the given
+    bottom row: the length of ``enumerate_tn(bottom, limits)`` and the sum of
+    its objects' signs, or its budget error, without building an object."""
+    count = signed = 0
+    for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
+        count += 1
+        signed += path[-1][2]
+    return count, signed
 
 
 def signed_tn_count(bottom) -> int:
     """Sum of (-1)**s over all decorated triangles with the given bottom row."""
-    return sum(o.sign for o in enumerate_tn(bottom))
+    return tn_totals(bottom)[1]
 
 
 def _scan_position(rows) -> Position | None:

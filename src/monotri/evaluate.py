@@ -29,6 +29,7 @@ import re
 import tempfile
 from functools import lru_cache, partial
 from itertools import chain, combinations, product
+from math import prod
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
@@ -129,16 +130,6 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     if len(k) < 3:
         raise ValueError("the alternative recursion needs at least three bounds")
     return sum(sign * sum(map(fn, product(*tail))) for tail, sign, _ in _op_boxes(k, alt=True))
-
-
-def nonadjacent_index_sets(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of {lo..hi} with no two consecutive elements, smallest size
-    first, lexicographic within each size.  Yields just () when hi < lo."""
-    idxs = range(lo, hi + 1)
-    for p in range(len(idxs) + 1):
-        for combo in combinations(idxs, p):
-            if all(combo[t + 1] - combo[t] >= 2 for t in range(len(combo) - 1)):
-                yield combo
 
 
 # The routes that fill a memo; gmt and mt keep none.
@@ -266,37 +257,51 @@ def _check_row(row) -> Row:
 
 
 @lru_cache(maxsize=None)
-def _third_families(n: int) -> tuple[tuple[int, tuple[int | None, ...]], ...]:
-    """The families of non-adjacent indices 2 <= i_1 < ... < i_p <= n-1 of
-    the inclusion-exclusion expansion at rows of length n, each as its sign
-    (-1)**p and, for every inner row position, None where the position is
-    free and otherwise the index of the argument it is pinned to: each chosen
-    index i pins inner positions i-1 and i to the argument k_i (1-based)."""
+def _third_families(n: int) -> tuple[tuple[tuple[int, ...], int, tuple[int | None, ...]], ...]:
+    """(chosen, (-1)**p, sources) of each index set 2 <= i_1 < ... < i_p <= n-1
+    with no two consecutive, smallest p first and lexicographic within each p.
+    sources[j] is None where inner position j is free, and otherwise the
+    argument it is pinned to: chosen index i pins inner positions i-1 and i to
+    the argument k_i (1-based)."""
     families = []
-    for chosen in nonadjacent_index_sets(2, n - 1):
-        sources = [None] * (n - 1)
-        for i in chosen:
-            sources[i - 2] = sources[i - 1] = i - 1
-        families.append(((-1) ** len(chosen), tuple(sources)))
+    indices = range(2, n)
+    for p in range(len(indices) + 1):
+        for chosen in combinations(indices, p):
+            if any(b - a < 2 for a, b in zip(chosen, chosen[1:])):
+                continue
+            sources = [None] * (n - 1)
+            for i in chosen:
+                sources[i - 2] = sources[i - 1] = i - 1
+            families.append((chosen, (-1) ** p, tuple(sources)))
     return tuple(families)
 
 
-def _third_boxes(r: Row) -> Iterator[Box]:
-    """(ranges, sign, size) boxes of the inclusion-exclusion expansion at r,
-    one per family of non-adjacent indices: free position j ranges over the
-    extended sum from r[j] to r[j+1] and a pinned position holds one value."""
+def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...], int]]:
+    """(chosen indices, ranges, sign) of each family of the inclusion-exclusion
+    expansion at r that has rows: free inner position j ranges over the
+    extended sum from r[j] to r[j+1], and a pinned position holds one value.
+    The sign is (-1)**len(chosen), times -1 for each free inverted range.  For
+    a decorated row above r, the chosen indices are the specials of r, the
+    pinned positions their parents, and the entries in inverted ranges its
+    inversions, so the sign is (-1)**(specials + inversions)."""
     free = [_extended_range(r[j], r[j + 1]) for j in range(len(r) - 1)]
-    for sign, sources in _third_families(len(r)):
-        tail, size = [], 1
+    for chosen, sign, sources in _third_families(len(r)):
+        ranges = []
         for (values, s), source in zip(free, sources):
             if source is None:
+                if not values:
+                    break
                 sign *= s
             else:
                 values = range(r[source], r[source] + 1)
-            tail.append(values)
-            size *= len(values)
-        if size:
-            yield tuple(tail), sign, size
+            ranges.append(values)
+        else:
+            yield chosen, tuple(ranges), sign
+
+
+def _third_boxes(r: Row) -> Iterator[Box]:
+    """(ranges, sign, size) boxes of the inclusion-exclusion expansion at r."""
+    return ((ranges, sign, prod(map(len, ranges))) for _, ranges, sign in third_families(r))
 
 
 # Boxes of at least this many rows build their translation-normalized memo

@@ -291,14 +291,11 @@ GRID_CHECKS = ("theorem1", "lemma1", "operator-alt", "cyclic", "neighbor-split",
 def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
                       samples: int = 100, seed: int = 0, exhaustive: bool = False,
                       i_values: Sequence[int] | None = None, method: str = "operator",
-                      jobs: int = 1, functions: int = 10,
-                      zero_on_triple_rows: bool = False) -> VerificationReport:
+                      functions: int = 10, zero_on_triple_rows: bool = False) -> VerificationReport:
     """Run one grid identity over rows drawn from ``window``.
 
     Rows are exhaustive over the window or sampled with the seeded generator,
-    and the points are checked in order in the calling thread.  ``jobs`` is
-    accepted for compatibility and changes nothing: the report is identical
-    for any value.
+    and the points are checked in order in the calling thread.
     """
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
@@ -532,14 +529,12 @@ class ConjectureSpec:
     Without it, each family runs at its two smallest parameter values, and a
     positive ``time_budget_secs`` lets the grid extend to larger n while the
     family's elapsed time stays under the budget.  Points are checked in order
-    in the calling thread; ``jobs`` is accepted for compatibility and changes
-    nothing.
+    in the calling thread.
     """
 
     names: tuple[str, ...] | None = None
     n_values: tuple[int, ...] | None = None
     method: str = "operator"
-    jobs: int = 1
     time_budget_secs: float = 0.0
 
 

@@ -238,6 +238,17 @@ def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[T
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
+def _edge_signs(lower, rows) -> list[int]:
+    """(-1)**row_sign_changes(lower, row) for each row above ``lower``."""
+    return [-1 if row_sign_changes(lower, row) & 1 else 1 for row in rows]
+
+
+def _unit_signs(lower, rows) -> list[int]:
+    """The edge signs of monotone triangles: a strictly increasing row has
+    no descent and no equal neighbours, so every sign is +1."""
+    return [1] * len(rows)
+
+
 def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
     """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
     ("gmt", "mt" or "dmt") with the given bottom row, without building one;
@@ -250,9 +261,11 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
     the stream's ``BudgetExceededError`` at the same point and never expands
     a row the stream would not.  A row's signed total is the sum, over the
     rows above it, of their signed totals times the edge sign
-    (-1)**row_sign_changes, taken once per row gone into or skipped.
+    (-1)**row_sign_changes, computed for the rows above a row when it is
+    expanded; for "mt" every edge sign is +1 and none is computed.
     """
     bottom, expand = _class_expansion(klass, bottom)
+    edge_signs = _unit_signs if klass == "mt" else _edge_signs
     if expand is None:
         return 0, 0
     if not bottom:
@@ -263,7 +276,7 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
     max_rows, max_triangles = (inf, inf) if limits is None else (limits.max_rows_generated, limits.max_triangles)
     walked: dict[tuple[int, ...], tuple[int, int, int]] = {}
     triangles = rows = 0
-    # A frame: the row, an iterator over the rows above it, the triangles and rows
+    # A frame: the row, an iterator over (row above, edge sign), the triangles and rows
     # before it, its signed total so far, and the sign of the edge being walked.
     stack = []
     top = bottom
@@ -274,19 +287,17 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
         if rows > max_rows:
             raise BudgetExceededError("row generation budget exhausted")
         if len(top) > 2:
-            stack.append([top, iter(above), *before, 0, 1])
+            stack.append([top, zip(above, edge_signs(top, above)), *before, 0, 1])
         else:
             # each row above a row of two entries is the apex of one triangle
             triangles += len(above)
             if triangles > max_triangles:
                 raise BudgetExceededError("triangle budget exhausted")
-            signed = sum(-1 if row_sign_changes(top, apex) & 1 else 1 for apex in above)
+            signed = sum(edge_signs(top, above))
             stack.append([top, iter(()), *before, signed, 1])
         while True:
             frame = stack[-1]
-            row = frame[0]
-            for top in frame[1]:
-                sign = -1 if row_sign_changes(row, top) & 1 else 1
+            for top, sign in frame[1]:
                 seen = walked.get(top)
                 if seen is None or triangles + seen[0] > max_triangles or rows + seen[1] > max_rows:
                     frame[5] = sign
@@ -297,7 +308,7 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
             else:
                 stack.pop()
                 signed = frame[4]
-                walked[row] = (triangles - frame[2], rows - frame[3], signed)
+                walked[frame[0]] = (triangles - frame[2], rows - frame[3], signed)
                 if not stack:
                     return triangles, signed
                 stack[-1][4] += stack[-1][5] * signed

@@ -14,7 +14,7 @@ conditions between consecutive rows:
 The sign of a generalized monotone triangle is (-1)**sc where sc counts
 newcomers and sign-changing pairs (:func:`sc_statistic`).  Decorated triangles
 (:class:`TnObject`) carry a set of marked "special" interior entries and are
-signed by specials plus inversions (:func:`s_statistic`).
+signed by specials plus inversions (:attr:`TnObject.weight`).
 """
 
 from __future__ import annotations
@@ -263,11 +263,6 @@ class TnObject:
 
     def __repr__(self):
         return f"TnObject({[list(r) for r in self.triangle.rows]}, special={sorted(self.special)})"
-
-
-def s_statistic(o: TnObject) -> int:
-    """Specials plus inversions; the decorated object's sign is (-1)**s."""
-    return o.weight
 
 
 def validate_tn(o: TnObject) -> bool:

@@ -3,8 +3,9 @@
 Everything here enumerates candidate objects over a bounded value box and
 filters with plain predicates, except the recursions at the end: the two
 operator recursions and the inclusion-exclusion expansion, written as nested
-closures straight from their definitions, the triangle stream as nested
-generators, and the signed triangle count as a memoized closure.
+closures straight from their definitions, the triangle and decorated-triangle
+streams as nested generators, and the signed triangle count as a memoized
+closure.
 None of it shares code with the package under test; it exists so the fast
 implementations are checked against a second, dumb route.
 """
@@ -316,6 +317,62 @@ def stream_generators(bottom, expand, max_rows, max_triangles):
             stack.pop()
 
     yield from rec([bottom])
+
+
+def tn_generators(bottom, max_rows, max_triangles):
+    """The decorated-triangle stream as nested generators, yielding each
+    object as (rows top first, frozenset of special positions).  Above each
+    row of length r, the specials (r, j) are chosen first, non-adjacent j in
+    2..r-1 by ``_nonadjacent_sets``; each pins both parents to its value, and
+    every other position of the row above ranges over the interval between
+    its lower neighbours, strictly between under a strict descent.  Every row
+    taken charges one to the row budget and every object one to the triangle
+    budget, each raising once overdrawn."""
+    bottom = tuple(bottom)
+    if not bottom:
+        raise ValueError("the bottom row must not be empty")
+    n = len(bottom)
+    budget = {"rows": max_rows, "triangles": max_triangles}
+
+    def rec(stack, specials):
+        r = n - len(stack) + 1  # 1-based index of the highest built row
+        if r == 1:
+            if budget["triangles"] == 0:
+                raise StreamBudgetError("triangle budget exhausted")
+            budget["triangles"] -= 1
+            yield tuple(reversed(stack)), specials
+            return
+        current = stack[-1]
+        for chosen in _nonadjacent_sets(2, r - 1):
+            pinned = {}
+            for j in chosen:  # special at (r, j) pins positions j-1, j above
+                pinned[j - 2] = pinned[j - 1] = current[j - 1]
+            choices = []
+            for idx in range(r - 1):
+                lo, hi = current[idx], current[idx + 1]
+                if idx in pinned:
+                    choices.append((pinned[idx],))
+                elif lo <= hi:
+                    choices.append(range(lo, hi + 1))
+                else:
+                    choices.append(range(hi + 1, lo))
+            marked = specials | {(r, j) for j in chosen}
+
+            def build(idx, prefix):
+                if idx == r - 1:
+                    budget["rows"] -= 1
+                    if budget["rows"] < 0:
+                        raise StreamBudgetError("row generation budget exhausted")
+                    stack.append(prefix)
+                    yield from rec(stack, marked)
+                    stack.pop()
+                    return
+                for v in choices[idx]:
+                    yield from build(idx + 1, prefix + (v,))
+
+            yield from build(0, ())
+
+    yield from rec([bottom], frozenset())
 
 
 def signed_count_closures(bottom, expand):

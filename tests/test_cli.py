@@ -159,6 +159,18 @@ class TestEnumerateCommand:
         assert len(lines) == 8
         assert all("special" in json.loads(line) for line in lines)
 
+    def test_tn_totals_obey_the_stream_budgets(self, capsys):
+        assert main(["enumerate", "tn", "--row", "4,2,1,3", "--count"]) == 0
+        assert capsys.readouterr().out == "8\n"
+        assert main(["enumerate", "tn", "--row", "4,2,1,3", "--signed"]) == 0
+        assert capsys.readouterr().out == "-2\n"
+        for budget, message in (("--max-triangles", "triangle"), ("--max-rows", "row generation")):
+            for total in ("--count", "--signed"):
+                assert main(["enumerate", "tn", "--row", "4,2,1,3", total, budget, "7"]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: {message} budget exhausted\n"
+
     def test_class_row_mismatch_is_usage_error(self):
         assert run_cli("enumerate", "mt", "--row", "2,1").returncode == 2
         assert run_cli("enumerate", "dmt", "--row", "1,2").returncode == 2

@@ -2,7 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import monotri.decorated as decorated
 from monotri import (
     BudgetExceededError,
     EnumerationLimits,
@@ -12,14 +15,15 @@ from monotri import (
     enumerate_tn,
     inferred_special_positions,
     involution_step,
-    s_statistic,
     sc_statistic,
     signed_gmt_count,
     signed_tn_count,
+    tn_totals,
     validate_tn,
     verify_reduction,
 )
-from oracles import tn_objects_brute
+from monotri.rows import DEFAULT_LIMITS
+from oracles import StreamBudgetError, s_brute, tn_generators, tn_objects_brute
 
 
 def as_pairs(objects):
@@ -30,7 +34,7 @@ class TestEnumeration:
     def test_no_specials_possible_at_size_two(self):
         objects = list(enumerate_tn((1, 2)))
         assert len(objects) == 2
-        assert all(o.special == frozenset() and s_statistic(o) == 0 for o in objects)
+        assert all(o.special == frozenset() and o.weight == 0 for o in objects)
         assert {o.triangle.rows[0] for o in objects} == {(1,), (2,)}
 
     def test_forced_inversion(self):
@@ -38,7 +42,7 @@ class TestEnumeration:
         assert len(objects) == 1
         o = objects[0]
         assert o.triangle.rows == ((2,), (3, 1))
-        assert o.special == frozenset() and s_statistic(o) == 1
+        assert o.special == frozenset() and o.weight == 1
 
     def test_matches_box_enumeration(self):
         for bottom in [(4, 2, 1, 3), (2, 4, 0), (1, 1, 2), (0, 2, 1)]:
@@ -73,6 +77,69 @@ class TestEnumeration:
             next(stream)
 
 
+def drain(stream, error):
+    """The items of ``stream`` before it ends or raises ``error``, and the
+    error's message (None when it ended)."""
+    items = []
+    try:
+        for item in stream:
+            items.append(item)
+    except error as exc:
+        return items, str(exc)
+    return items, None
+
+
+budgets = st.builds(EnumerationLimits, max_rows_generated=st.integers(1, 60), max_triangles=st.integers(1, 60))
+
+
+class TestFlatWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_the_reference_stream(self, data):
+        limits = data.draw(st.one_of(st.none(), budgets))
+        # Unbudgeted, a bottom row of five entries can have 320k objects;
+        # four entries in -3..4 have at most 5,336.
+        longest = 4 if limits is None else 5
+        bottom = tuple(data.draw(st.lists(st.integers(-3, 4), min_size=1, max_size=longest)))
+        ref = limits or DEFAULT_LIMITS
+        expected, expected_error = drain(
+            tn_generators(bottom, ref.max_rows_generated, ref.max_triangles), StreamBudgetError)
+
+        objects, error = drain(enumerate_tn(bottom, limits), BudgetExceededError)
+        assert [(o.triangle.rows, o.special) for o in objects] == expected
+        assert error == expected_error
+
+        try:
+            totals = tn_totals(bottom, limits)
+        except BudgetExceededError as exc:
+            totals = str(exc)
+        assert totals == (expected_error or (
+            len(expected), sum((-1) ** s_brute(rows, special) for rows, special in expected)))
+
+        signs, error = drain((path[-1][2] for path in decorated._tn_walk(bottom, ref)), BudgetExceededError)
+        assert signs == [(-1) ** o.weight for o in objects]
+        assert error == expected_error
+
+    def test_totals_build_no_object(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tn_totals built an object")
+
+        monkeypatch.setattr(decorated, "TnObject", refuse)
+        monkeypatch.setattr(decorated, "Triangle", refuse)
+        assert tn_totals((4, 2, 1, 3)) == (8, -2)
+        assert tn_totals((1, 2, 3)) == (9, 7)
+        assert tn_totals((5,)) == (1, 1)
+        with pytest.raises(BudgetExceededError, match="row generation budget exhausted"):
+            tn_totals((3, 1, 4, 2, 5), EnumerationLimits(max_rows_generated=20))
+
+    def test_empty_bottom_raises_on_first_next(self):
+        stream = enumerate_tn(())
+        with pytest.raises(ValueError, match="must not be empty"):
+            next(stream)
+        with pytest.raises(ValueError, match="must not be empty"):
+            tn_totals(())
+
+
 class TestSignedCount:
     def test_golden_values(self):
         assert signed_tn_count((4, 2, 1, 3)) == -2
@@ -101,7 +168,7 @@ class TestInvolution:
             for o in enumerate_tn(bottom):
                 partner = involution_step(o)
                 if partner is not None:
-                    assert abs(s_statistic(partner) - s_statistic(o)) == 1
+                    assert abs(partner.weight - o.weight) == 1
                     assert partner.sign == -o.sign
 
     def test_partner_stays_in_class(self):
@@ -127,7 +194,7 @@ class TestInvolution:
         assert {o.triangle.rows for o in fixed} == gmts
         for o in fixed:
             assert o.special == inferred_special_positions(o.triangle)
-            assert s_statistic(o) == sc_statistic(o.triangle).sc
+            assert o.weight == sc_statistic(o.triangle).sc
 
 
 class TestReduction:

@@ -404,3 +404,13 @@ class TestCountTriangles:
                 pass
             assert len(calls) < len(streamed)
             assert set(calls) <= set(streamed)
+
+    def test_mt_walk_takes_no_sign(self, monkeypatch):
+        # a strictly increasing row has no descent and no equal neighbours
+        def refuse(lower, upper):
+            raise AssertionError("row_sign_changes called on an mt walk")
+
+        monkeypatch.setattr(monotri.rows, "row_sign_changes", refuse)
+        assert triangle_totals("mt", (2, 4, 5, 8, 9), None) == (16939, 16939)
+        with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
+            count_triangles("mt", (2, 4, 5, 8, 9), EnumerationLimits(max_triangles=16938))

@@ -10,7 +10,6 @@ from monotri import (
     TnObject,
     Triangle,
     inferred_special_positions,
-    s_statistic,
     sc_statistic,
     tn_from_json,
     tn_to_json,
@@ -185,17 +184,17 @@ class TestDecoratedObjects:
     def test_weight_counts_specials_and_inversions(self):
         # one special at (3, 2): entry 2 with both parents equal to 2
         o = TnObject(FOUR_GMTS[0], [(3, 2)])
-        assert s_statistic(o) == 1
+        assert o.weight == 1
         assert o.inversions == 0 and o.sign == -1
 
     def test_inversion_without_specials(self):
         o = TnObject(Triangle([(2,), (3, 1)]))
         assert o.inversions == 1
-        assert s_statistic(o) == 1
+        assert o.weight == 1
 
     def test_decoration_free_monotone_triangle_weighs_nothing(self):
         o = TnObject(FIG_MT)
-        assert s_statistic(o) == 0
+        assert o.weight == 0
 
     def test_parents_of_specials_are_exempt(self):
         # without the special, entry (3,1)=2 above the descent (4,2) violates
