@@ -18,7 +18,7 @@ from itertools import chain, product
 from typing import Iterator
 
 from .evaluate import third_families
-from .report import VerificationReport
+from .report import VerificationReport, build_report
 from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count
 from .triangles import (
     Position,
@@ -196,18 +196,9 @@ def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> Verific
     if lhs != rhs:
         failures.append({"check": "signed totals", "lhs": str(lhs), "rhs": str(rhs)})
 
-    return VerificationReport(
-        name="tn-reduction",
-        grid=f"bottom row {bottom}",
-        checked=len(objects) + 1,
-        failures=len(failures),
-        status="pass" if not failures else "fail",
-        counterexample=failures[0] if failures else None,
-        metadata={
-            "objects": len(objects),
-            "fixed_points": len(fixed),
-            "violators": len(objects) - len(fixed),
-            "signed_total": str(lhs),
-        },
-        timing_secs=time.perf_counter() - started,
-    )
+    return build_report("tn-reduction", f"bottom row {bottom}", "proven", len(objects) + 1, failures, {
+        "objects": len(objects),
+        "fixed_points": len(fixed),
+        "violators": len(objects) - len(fixed),
+        "signed_total": str(lhs),
+    }, started)

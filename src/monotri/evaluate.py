@@ -145,32 +145,30 @@ class EvalCache:
 
     Values are translation invariant (shifting every argument by a constant
     shifts every triangle entry the same way), so keys are normalized by
-    translating the row so its first entry is 0.  Set ``normalize=False`` to
-    key on the raw row instead.  Hit and miss counters are kept for
-    diagnostics.
+    translating the row so its first entry is 0.  Hit and miss counters are
+    kept for diagnostics.
 
     ``route`` names the evaluation method whose values the cache holds.  A
     saved cache file starts with the header line
-    ``monotri-cache v2 route=<method> normalize=<0|1> sha256=<hex>``, where
-    the digest covers every record line after it; :meth:`load` rejects a file
-    of another format version, a file whose header is missing or malformed,
+    ``monotri-cache v2 route=<method> normalize=1 sha256=<hex>``, where the
+    digest covers every record line after it; :meth:`load` rejects a file of
+    another format version, a file whose header is missing or malformed,
     whose digest does not match, which holds a key that is not
-    translation-normalized where keys are normalized, or which was written by
-    another memoized route (operator, operator_alt, third).  The gmt and mt
+    translation-normalized (whatever its header says), or which was written
+    by another memoized route (operator, operator_alt, third).  The gmt and mt
     routes keep no memo, so their files and caches go with any route.
     """
 
-    def __init__(self, normalize: bool = True, route: str = "operator"):
+    def __init__(self, route: str = "operator"):
         if route not in METHODS:
             raise ValueError(f"unknown route {route!r}, expected one of {METHODS}")
-        self.normalize = normalize
         self.route = route
         self.hits = 0
         self.misses = 0
         self._store: dict[Row, int] = {}
 
     def _key(self, row: Row) -> Row:
-        if self.normalize and row[0]:
+        if row[0]:
             base = row[0]
             return tuple([v - base for v in row])
         return row
@@ -198,7 +196,7 @@ class EvalCache:
                        for row, value in records)
         digest = hashlib.sha256(body.encode("ascii")).hexdigest()
         header = (f"monotri-cache v{_CACHE_VERSION} route={self.route} "
-                  f"normalize={int(self.normalize)} sha256={digest}\n")
+                  f"normalize=1 sha256={digest}\n")
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".monotri-cache-")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
@@ -226,7 +224,6 @@ class EvalCache:
             raise ValueError(f"cache file {path} holds values of route {route!r}, not {self.route!r}")
         if hashlib.sha256(body.encode("ascii")).hexdigest() != match[3]:
             raise ValueError(f"cache file {path}: checksum mismatch")
-        normalized = self.normalize or match[2] == "1"
         records = {}
         for line in body.splitlines():
             try:
@@ -237,7 +234,7 @@ class EvalCache:
                 raise ValueError(f"corrupt cache record: {line!r}") from None
             if len(row) != n:
                 raise ValueError(f"corrupt cache record: {line!r}")
-            if normalized and row[0] != 0:
+            if row[0] != 0:
                 raise ValueError(f"cache record not translation-normalized: {line!r}")
             records[row] = value
         self._store.update(records)
@@ -315,10 +312,8 @@ def _third_boxes(r: Row) -> Iterator[Box]:
 _WIDE_BOX = 12
 
 
-def _box_keys(tail: tuple[range, ...], size: int, normalize: bool) -> Iterator[Row]:
+def _box_keys(tail: tuple[range, ...], size: int) -> Iterator[Row]:
     """Memo keys of the rows of one box, in product order."""
-    if not normalize:
-        return product(*tail)
     if size < _WIDE_BOX:
         return iter([tuple([v - row[0] for v in row]) if row[0] else row
                      for row in product(*tail)])
@@ -348,7 +343,6 @@ def _memo_eval(row: Row, cache: EvalCache, boxes_of: Callable[[Row], Iterator[Bo
     if value is not None:
         cache.hits += 1
         return value
-    normalize = cache.normalize
     get = store.get
     hits, misses = 0, 1
     try:
@@ -375,7 +369,7 @@ def _memo_eval(row: Row, cache: EvalCache, boxes_of: Callable[[Row], Iterator[Bo
                     if len(tail) == 1:
                         total += sign * size
                     else:
-                        keys = _box_keys(tail, size, normalize)
+                        keys = _box_keys(tail, size)
                     continue
                 store[key] = total
                 if not stack:

@@ -22,13 +22,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .evaluate import EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
-from .report import VerificationReport
+from .evaluate import METHODS, EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
+from .report import VerificationReport, build_report
 from .rows import gmt_admissible_rows, row_sign_changes
-from .triangles import Triangle
 
 Row = tuple[int, ...]
 Evaluator = Callable[[Row], int]
@@ -83,34 +83,102 @@ def w_refinement(n: int, i: int, method: str = "operator", cache: EvalCache | No
     return alpha(row, method, cache)
 
 
+# --- the identities -----------------------------------------------------------
+# Each takes a point (its parameters, as reported) and an evaluator, and returns
+# its two sides (lhs, rhs), left side evaluated first.  The evaluator maps a row
+# to its value, or to its value by method (theorem1), or a function index to a
+# test function (lemma1, operator-alt).
+
+
+def _lhs_rhs(params: dict, lhs, rhs) -> dict:
+    return {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _outcomes(identity, points: Iterable[dict], ev,
+              counterexample=_lhs_rhs) -> tuple[list[dict], list[dict]]:
+    """Results and failures, in point order, of ``identity`` at each point."""
+    results, failures = [], []
+    for params in points:
+        lhs, rhs = identity(params, ev)
+        results.append({"params": params, "ok": lhs == rhs})
+        if lhs != rhs:
+            failures.append(counterexample(params, lhs, rhs))
+    return results, failures
+
+
+def _cyclic(p: dict, ev: Evaluator) -> tuple[int, int]:
+    k = tuple(p["row"])
+    n = len(k)
+    lhs, shifted = ev(k), ev(k[1:] + (k[0] - n,))
+    return lhs, shifted if (n - 1) % 2 == 0 else -shifted
+
+
+def _pair(p: dict, ev: Evaluator) -> tuple[int, int, Callable[[int, int], int]]:
+    """(k_i, k_{i+1}, f) at a point with row k and position i, where f(a, b)
+    is the value at k with positions i, i + 1 set to a, b."""
+    k, i = tuple(p["row"]), p["i"]
+    if not 1 <= i <= len(k) - 1:
+        raise ValueError(f"index {i} outside 1..{len(k) - 1}")
+    return k[i - 1], k[i], lambda a, b: ev(k[: i - 1] + (a, b) + k[i + 1:])
+
+
+def _neighbor_split(p: dict, ev: Evaluator) -> tuple[int, int]:
+    x, _, f = _pair(p, ev)
+    return f(x, x + 1), f(x, x) + f(x + 1, x + 1)
+
+
+def _two_step_split(p: dict, ev: Evaluator) -> tuple[int, int]:
+    x, _, f = _pair(p, ev)
+    return f(x, x + 2), f(x, x) + f(x + 1, x + 1) + f(x + 2, x + 2) + f(x + 2, x + 1) + f(x + 1, x)
+
+
+def _shift_antisym(p: dict, ev: Evaluator) -> tuple[int, int]:
+    x, y, f = _pair(p, ev)
+
+    def v_at(a: int, b: int) -> int:
+        return f(a - 1, b) + f(a, b + 1) - f(a - 1, b + 1)
+
+    return v_at(x, y), -v_at(y + 1, x - 1)
+
+
+def _agreement(p: dict, ev: Callable[[Row], dict[str, int]]) -> tuple[dict, dict]:
+    values = ev(tuple(p["row"]))
+    return values, dict.fromkeys(values, next(iter(values.values())))
+
+
+def _values(params: dict, values: dict, _) -> dict:
+    return {"row": params["row"], "values": {m: str(v) for m, v in values.items()}}
+
+
+def _by_method(caches: dict[str, EvalCache], methods: Sequence[str] | None = None):
+    """Row -> value by method, over ``methods`` or every method that applies
+    to the row, each method with its cache from ``caches`` if there is one."""
+    return lambda row: {m: alpha(row, m, caches.get(m)) for m in methods or applicable_methods(row)}
+
+
+def _row_sum(p: dict, fn_at: Callable[[int], Evaluator], zero_on_triple_rows: bool = False) -> tuple[int, int]:
+    return row_sum_identity(p["row"], fn_at(p["function"]), zero_on_triple_rows)
+
+
+def _recursion_agreement(p: dict, fn_at: Callable[[int], Evaluator]) -> tuple[int, int]:
+    """Primary versus alternative operator recursion on one (bounds, function) pair."""
+    k, fn = tuple(p["row"]), fn_at(p["function"])
+    return operator_apply(k, fn), operator_apply_alt(k, fn)
+
+
 # --- single-point identity checks -------------------------------------------
 
 
-def _point_report(name: str, params: dict, lhs: int, rhs: int, kind: str = "proven",
-                  metadata: dict | None = None) -> VerificationReport:
-    ok = lhs == rhs
-    status = ("pass" if ok else "fail") if kind == "proven" else ("consistent" if ok else "inconsistent")
-    return VerificationReport(
-        name=name,
-        grid=f"single point {params}",
-        checked=1,
-        failures=0 if ok else 1,
-        status=status,
-        counterexample=None if ok else {"params": params, "lhs": str(lhs), "rhs": str(rhs)},
-        metadata=metadata or {},
-    )
+def _point_report(name: str, identity, params: dict, method: str, cache: EvalCache | None) -> VerificationReport:
+    started = time.perf_counter()
+    _, failures = _outcomes(identity, [params], make_evaluator(method, cache))
+    return build_report(name, f"single point {params}", "proven", 1, failures, {}, started)
 
 
 def check_cyclic(k, method: str = "operator", cache: EvalCache | None = None) -> VerificationReport:
     """Cyclic shift identity: the value at (k_1..k_n) equals (-1)**(n-1)
     times the value at (k_2..k_n, k_1 - n)."""
-    k = tuple(k)
-    ev = make_evaluator(method, cache)
-    n = len(k)
-    lhs = ev(k)
-    shifted = k[1:] + (k[0] - n,)
-    rhs = ev(shifted) if (n - 1) % 2 == 0 else -ev(shifted)
-    return _point_report("cyclic", {"row": list(k)}, lhs, rhs)
+    return _point_report("cyclic", _cyclic, {"row": list(k)}, method, cache)
 
 
 def check_neighbor_split(k, i: int, method: str = "operator",
@@ -121,35 +189,13 @@ def check_neighbor_split(k, i: int, method: str = "operator",
     Position i + 1 of ``k`` is overwritten to x + 1 where x = k_i, so any
     base row works.
     """
-    k = tuple(k)
-    if not 1 <= i <= len(k) - 1:
-        raise ValueError(f"index {i} outside 1..{len(k) - 1}")
-    ev = make_evaluator(method, cache)
-    x = k[i - 1]
-
-    def with_pair(a: int, b: int) -> Row:
-        return k[: i - 1] + (a, b) + k[i + 1:]
-
-    lhs = ev(with_pair(x, x + 1))
-    rhs = ev(with_pair(x, x)) + ev(with_pair(x + 1, x + 1))
-    return _point_report("neighbor-split", {"row": list(k), "i": i}, lhs, rhs)
+    return _point_report("neighbor-split", _neighbor_split, {"row": list(k), "i": i}, method, cache)
 
 
 def check_two_step_split(k, i: int, method: str = "operator",
                          cache: EvalCache | None = None) -> VerificationReport:
     """Five-term split of an adjacent pair (x, x+2) at positions (i, i+1)."""
-    k = tuple(k)
-    if not 1 <= i <= len(k) - 1:
-        raise ValueError(f"index {i} outside 1..{len(k) - 1}")
-    ev = make_evaluator(method, cache)
-    x = k[i - 1]
-
-    def t(a: int, b: int) -> int:
-        return ev(k[: i - 1] + (a, b) + k[i + 1:])
-
-    lhs = t(x, x + 2)
-    rhs = t(x, x) + t(x + 1, x + 1) + t(x + 2, x + 2) + t(x + 2, x + 1) + t(x + 1, x)
-    return _point_report("two-step-split", {"row": list(k), "i": i}, lhs, rhs)
+    return _point_report("two-step-split", _two_step_split, {"row": list(k), "i": i}, method, cache)
 
 
 def check_shift_antisymmetry(k, i: int, method: str = "operator",
@@ -163,27 +209,15 @@ def check_shift_antisymmetry(k, i: int, method: str = "operator",
     are re-checked and recorded in the metadata.
     """
     k = tuple(k)
-    if not 1 <= i <= len(k) - 1:
-        raise ValueError(f"index {i} outside 1..{len(k) - 1}")
-    ev = make_evaluator(method, cache)
-
-    def v_at(x: int, y: int) -> int:
-        def f(a: int, b: int) -> int:
-            return ev(k[: i - 1] + (a, b) + k[i + 1:])
-
-        return f(x - 1, y) + f(x, y + 1) - f(x - 1, y + 1)
-
+    report = _point_report("shift-antisym", _shift_antisym, {"row": list(k), "i": i}, method, cache)
     x, y = k[i - 1], k[i]
-    lhs = v_at(x, y)
-    rhs = -v_at(y + 1, x - 1)
-    metadata: dict = {}
-    if y == x - 1:
-        derived = check_neighbor_split(k[: i - 1] + (x - 1, x) + k[i + 1:], i, method, cache)
-        metadata["neighbor_split_instance"] = derived.passed
-    elif y == x - 2:
-        derived = check_two_step_split(k[: i - 1] + (x - 2, x) + k[i + 1:], i, method, cache)
-        metadata["two_step_split_instance"] = derived.passed
-    return _point_report("shift-antisym", {"row": list(k), "i": i}, lhs, rhs, metadata=metadata)
+    derived = {x - 1: ("neighbor_split_instance", check_neighbor_split),
+               x - 2: ("two_step_split_instance", check_two_step_split)}.get(y)
+    if derived:
+        # the instance at k with positions i, i + 1 swapped
+        key, check = derived
+        report.metadata[key] = check(k[: i - 1] + (y, x) + k[i + 1:], i, method, cache).passed
+    return report
 
 
 def check_method_agreement(k, methods: Sequence[str] | None = None,
@@ -192,19 +226,10 @@ def check_method_agreement(k, methods: Sequence[str] | None = None,
     its own cache so the routes stay independent."""
     k = tuple(k)
     methods = tuple(methods) if methods else applicable_methods(k)
-    caches = caches or {}
-    values = {m: alpha(k, m, caches.get(m)) for m in methods}
-    distinct = set(values.values())
-    ok = len(distinct) == 1
-    return VerificationReport(
-        name="theorem1",
-        grid=f"single point {list(k)}",
-        checked=1,
-        failures=0 if ok else 1,
-        status="pass" if ok else "fail",
-        counterexample=None if ok else {"row": list(k), "values": {m: str(v) for m, v in values.items()}},
-        metadata={"methods": list(methods)},
-    )
+    started = time.perf_counter()
+    _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method(caches or {}, methods), _values)
+    return build_report("theorem1", f"single point {list(k)}", "proven", 1, failures,
+                        {"methods": list(methods)}, started)
 
 
 # --- the row-sum expansion of the summation operator -------------------------
@@ -260,12 +285,6 @@ def row_sum_identity(k, fn: Evaluator, zero_on_triple_rows: bool = False) -> tup
     return lhs, rhs
 
 
-def operator_recursion_agreement(k, fn: Evaluator) -> tuple[int, int]:
-    """Primary versus alternative operator recursion on one (bounds, function) pair."""
-    k = tuple(k)
-    return operator_apply(k, fn), operator_apply_alt(k, fn)
-
-
 # --- grid runners -------------------------------------------------------------
 
 
@@ -284,8 +303,17 @@ def grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
     return [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(samples)]
 
 
-GRID_CHECKS = ("theorem1", "lemma1", "operator-alt", "cyclic", "neighbor-split",
-               "two-step-split", "shift-antisym")
+# grid check -> the identity it checks at each point
+_GRID_IDENTITIES = {
+    "theorem1": _agreement,
+    "lemma1": _row_sum,
+    "operator-alt": _recursion_agreement,
+    "cyclic": _cyclic,
+    "neighbor-split": _neighbor_split,
+    "two-step-split": _two_step_split,
+    "shift-antisym": _shift_antisym,
+}
+GRID_CHECKS = tuple(_GRID_IDENTITIES)
 
 
 def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
@@ -295,7 +323,9 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     """Run one grid identity over rows drawn from ``window``.
 
     Rows are exhaustive over the window or sampled with the seeded generator,
-    and the points are checked in order in the calling thread.
+    and the points are checked in order in the calling thread.  The operator
+    identities check ``functions`` test functions at each row, the pair
+    identities each position of ``i_values`` (default 1..n-1).
     """
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
@@ -306,67 +336,24 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     grid = (f"n={n}, window={window[0]}..{window[1]}, "
             + ("exhaustive" if exhaustive else f"samples={samples}, seed={seed}"))
 
-    caches: dict[str, EvalCache] = {}
-    shared = EvalCache()
-
-    def point_check(point) -> tuple[dict, bool, dict | None]:
-        if name == "theorem1":
-            row = point
-            rep = check_method_agreement(row, caches=caches_for(row))
-            return {"row": list(row)}, rep.passed, rep.counterexample
-        if name == "lemma1":
-            row, idx = point
-            fn = _mixed_function(seed, idx, n)
-            lhs, rhs = row_sum_identity(row, fn, zero_on_triple_rows)
-            params = {"row": list(row), "function": idx}
-            return params, lhs == rhs, None if lhs == rhs else {
-                "params": params, "lhs": str(lhs), "rhs": str(rhs)}
-        if name == "operator-alt":
-            row, idx = point
-            fn = _mixed_function(seed, idx, n)
-            lhs, rhs = operator_recursion_agreement(row, fn)
-            params = {"row": list(row), "function": idx}
-            return params, lhs == rhs, None if lhs == rhs else {
-                "params": params, "lhs": str(lhs), "rhs": str(rhs)}
-        if name == "cyclic":
-            rep = check_cyclic(point, method, shared)
-            return {"row": list(point)}, rep.passed, rep.counterexample
-        row, i = point
-        checker = {"neighbor-split": check_neighbor_split,
-                   "two-step-split": check_two_step_split,
-                   "shift-antisym": check_shift_antisymmetry}[name]
-        rep = checker(row, i, method, shared)
-        return {"row": list(row), "i": i}, rep.passed, rep.counterexample
-
-    def caches_for(row: Row) -> dict[str, EvalCache]:
+    identity, counterexample, extras, metadata = _GRID_IDENTITIES[name], _lhs_rhs, [{}], {}
+    if name == "theorem1":
         # one private cache per method, shared across the grid
-        for m in applicable_methods(row):
-            caches.setdefault(m, EvalCache())
-        return caches
-
-    if name in ("lemma1", "operator-alt"):
-        points = [(row, idx) for row in rows for idx in range(functions)]
-    elif name in ("neighbor-split", "two-step-split", "shift-antisym"):
-        ivals = tuple(i_values) if i_values else tuple(range(1, n))
-        points = [(row, i) for row in rows for i in ivals]
+        ev, counterexample = _by_method({m: EvalCache() for m in METHODS}), _values
+    elif name in ("lemma1", "operator-alt"):
+        ev = partial(_mixed_function, seed, n=n)
+        extras = [{"function": idx} for idx in range(functions)]
+        if name == "lemma1":
+            identity = partial(identity, zero_on_triple_rows=zero_on_triple_rows)
+            metadata = {"zero_on_triple_rows": zero_on_triple_rows}
     else:
-        points = rows
+        ev = make_evaluator(method, EvalCache())
+        if name != "cyclic":
+            extras = [{"i": i} for i in (i_values or range(1, n))]
+    points = [{"row": list(row), **extra} for row in rows for extra in extras]
 
-    results = [point_check(p) for p in points]
-    failures = [ce for _, ok, ce in results if not ok]
-    metadata = {"results": [{"params": params, "ok": ok} for params, ok, _ in results]}
-    if name == "lemma1":
-        metadata["zero_on_triple_rows"] = zero_on_triple_rows
-    return VerificationReport(
-        name=name,
-        grid=grid,
-        checked=len(results),
-        failures=len(failures),
-        status="pass" if not failures else "fail",
-        counterexample=failures[0] if failures else None,
-        metadata=metadata,
-        timing_secs=time.perf_counter() - started,
-    )
+    results, failures = _outcomes(identity, points, ev, counterexample)
+    return build_report(name, grid, "proven", len(results), failures, {"results": results, **metadata}, started)
 
 
 def _mixed_function(seed: int, idx: int, n: int) -> Evaluator:
@@ -547,49 +534,25 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
         if name not in CONJECTURES:
             raise ValueError(f"unknown conjecture id {name!r}")
         family = CONJECTURES[name]
-        cache = EvalCache()
-        ev = make_evaluator(spec.method, cache)
+        ev = make_evaluator(spec.method, EvalCache())
         started = time.perf_counter()
         if spec.n_values is not None:
             ns = [n for n in spec.n_values if n >= family.first_n]
         else:
             ns = [family.first_n, family.first_n + 1]
 
-        results = []
-        failures = []
+        def points():
+            for n in ns:  # takes in the values appended while under the budget
+                yield from family.points(n)
+                if spec.n_values is None and n == ns[-1] \
+                        and time.perf_counter() - started < spec.time_budget_secs:
+                    ns.append(n + 1)
 
-        def run_n(n: int):
-            for params in family.points(n):
-                lhs, rhs = family.check(params, ev)
-                ok = lhs == rhs
-                results.append({"params": params, "ok": ok})
-                if not ok:
-                    failures.append({"params": params, "lhs": str(lhs), "rhs": str(rhs)})
-
-        for n in ns:
-            run_n(n)
-        if spec.n_values is None and spec.time_budget_secs > 0:
-            n = ns[-1] + 1 if ns else family.first_n
-            while time.perf_counter() - started < spec.time_budget_secs:
-                run_n(n)
-                ns.append(n)
-                n += 1
-
-        if family.kind == "proven":
-            status = "pass" if not failures else "fail"
-        else:
-            status = "consistent" if not failures else "inconsistent"
-        reports.append(VerificationReport(
-            name=name,
-            grid=f"n in {ns}",
-            checked=len(results),
-            failures=len(failures),
-            status=status,
-            counterexample=failures[0] if failures else None,
-            metadata={"kind": family.kind, "description": family.description,
-                      "results": results, **family.metadata},
-            timing_secs=time.perf_counter() - started,
-        ))
+        results, failures = _outcomes(family.check, points(), ev)
+        reports.append(build_report(
+            name, f"n in {ns}", family.kind, len(results), failures,
+            {"kind": family.kind, "description": family.description, "results": results, **family.metadata},
+            started))
     return reports
 
 
@@ -600,8 +563,7 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
     if k < 4:
         raise ValueError("the insertion pattern needs k >= 4")
     started = time.perf_counter()
-    cache = EvalCache()
-    ev = make_evaluator(method, cache)
+    ev = make_evaluator(method, EvalCache())
     ratios = {}
     for n in ns:
         if n < k:
@@ -609,12 +571,5 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
         value = ev(_ratio_row(k, n))
         base = ev(staircase(n - 1))
         ratios[str(n)] = str(Fraction(value, base)) if base else f"{value}/0"
-    return VerificationReport(
-        name=f"ratio-scan-k{k}",
-        grid=f"n in {sorted(int(n) for n in ratios)}",
-        checked=len(ratios),
-        failures=0,
-        status="info",
-        metadata={"ratios": ratios},
-        timing_secs=time.perf_counter() - started,
-    )
+    return build_report(f"ratio-scan-k{k}", f"n in {sorted(int(n) for n in ratios)}", "info",
+                        len(ratios), [], {"ratios": ratios}, started)

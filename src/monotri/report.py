@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+
+# kind of claim -> (status when no point failed, status otherwise)
+_STATUS = {"proven": ("pass", "fail"), "conjecture": ("consistent", "inconsistent"), "info": ("info", "info")}
 
 
 @dataclass
@@ -24,10 +28,6 @@ class VerificationReport:
     counterexample: dict | None = None
     metadata: dict = field(default_factory=dict)
     timing_secs: float = 0.0
-
-    def __post_init__(self):
-        if self.failures > 0 and self.counterexample is None:
-            raise ValueError("a failed report must carry a counterexample")
 
     @property
     def passed(self) -> bool:
@@ -52,6 +52,22 @@ class VerificationReport:
         if self.status == "info":
             return "informational"
         return "identity " + ("verified" if self.passed else "FAILED")
+
+
+def build_report(name: str, grid: str, kind: str, checked: int, failures: list[dict],
+                 metadata: dict, started: float) -> VerificationReport:
+    """The report of ``checked`` points of a check of the given ``kind``
+    ("proven", "conjecture" or "info"), with its failures in order: the status
+    words by kind, the first failure as the counterexample, and the time since
+    ``started`` (a ``time.perf_counter()`` reading).  A check of no point is a
+    usage error, raised as ``ValueError``."""
+    if checked < 1:
+        raise ValueError(f"{name} has no point to check ({grid})")
+    passed, failed = _STATUS[kind]
+    return VerificationReport(
+        name=name, grid=grid, checked=checked, failures=len(failures),
+        status=failed if failures else passed, counterexample=failures[0] if failures else None,
+        metadata=metadata, timing_secs=time.perf_counter() - started)
 
 
 def render_table(reports: list[VerificationReport]) -> str:

@@ -201,6 +201,13 @@ class TestVerifyCommand:
             (["operator-alt", "--functions", "-1"], "functions must be at least 1"),
             (["ratio-scan", "--k", "4", "--n-range", "6..5"], "empty --n-range 6..5"),
             (["rev-dup", "--n-range", "3..2"], "empty --n-range 3..2"),
+            (["neighbor-split", "--n", "1"], "neighbor-split has no point to check"),
+            (["two-step-split", "--n", "1"], "two-step-split has no point to check"),
+            (["shift-antisym", "--n", "1"], "shift-antisym has no point to check"),
+            (["w-symmetry", "--n", "0"], "w-symmetry has no point to check"),
+            (["rev-dup", "--n-range", "0..0"], "rev-dup has no point to check"),
+            (["ratio-k6", "--n", "2"], "ratio-k6 has no point to check"),
+            (["ratio-scan", "--k", "4", "--n-range", "1..3"], "ratio-scan-k4 has no point to check"),
         ]:
             assert main(["verify", *argv]) == 2, argv
             captured = capsys.readouterr()

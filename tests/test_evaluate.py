@@ -130,12 +130,6 @@ class TestFlatWalks:
         assert alpha(row, method, cache) == value
         assert (len(cache), cache.hits, cache.misses) == (entries, hits, entries)
 
-    def test_memo_counters_on_raw_keys(self):
-        # Rows that differ by a translation are stored apart.
-        cache = EvalCache(normalize=False)
-        assert alpha((3, -1, 2, 0, -2, 1, 4), "operator", cache) == -2574
-        assert (len(cache), cache.hits, cache.misses) == (4231, 380141, 4231)
-
 
 ROUTES = {
     "operator": lambda row, cache: memo_closures(row, cache, operator_closures),
@@ -165,24 +159,23 @@ class TestMemoKernel:
         assert counters(cache) == counters(reference)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(sorted(ROUTES)), st.booleans(),
+    @given(st.sampled_from(sorted(ROUTES)),
            st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=3))
-    def test_shared_cache_matches_closure_recursion(self, method, normalize, rows):
+    def test_shared_cache_matches_closure_recursion(self, method, rows):
         # One cache across several rows, so later rows hit what earlier rows stored.
-        cache, reference = EvalCache(normalize), EvalCache(normalize)
+        cache, reference = EvalCache(), EvalCache()
         for row in rows:
             assert alpha(row, method, cache) == ROUTES[method](row, reference)
             assert counters(cache) == counters(reference)
         assert cache._store == reference._store
 
     @pytest.mark.parametrize("wide", [1, 10**9])
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_both_key_builders(self, monkeypatch, wide, normalize):
+    def test_both_key_builders(self, monkeypatch, wide):
         # Every box on one side of the cutover, then every box on the other.
         monkeypatch.setattr(evaluate, "_WIDE_BOX", wide)
         for row, method in [((3, -1, 2, 0, -2, 1), "operator"), ((7, 0, 9, 2), "operator_alt"),
                             ((2, 9, 1, 4, 4), "third"), ((0, 30, 60), "operator")]:
-            cache, reference = EvalCache(normalize), EvalCache(normalize)
+            cache, reference = EvalCache(), EvalCache()
             assert alpha(row, method, cache) == ROUTES[method](row, reference)
             assert counters(cache) == counters(reference)
 
@@ -222,13 +215,14 @@ class TestAlpha:
             k = tuple(rng.randint(-2, 2) for _ in range(n))
             assert alpha(k) == signed_gmt_brute(k), k
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(st.lists(small_int, min_size=1, max_size=4), st.integers(-5, 5))
     def test_translation_invariance(self, row, shift):
+        # The signed enumeration keys nothing on the row, so it checks the
+        # translation the memo keys rest on.
         row = tuple(row)
         shifted = tuple(v + shift for v in row)
-        plain = EvalCache(normalize=False)
-        assert alpha(row, "operator", plain) == alpha(shifted, "operator", EvalCache(normalize=False))
+        assert alpha(row, "gmt") == alpha(shifted, "operator")
 
     def test_usage_errors(self):
         with pytest.raises(ValueError):
@@ -261,10 +255,6 @@ class TestEvalCache:
         second = alpha((4, 2, 1, 3), "operator", cache)
         assert first == second == alpha((4, 2, 1, 3), "operator", None)
         assert cache.hits > 0
-
-    def test_normalization_switch(self):
-        assert alpha((10, 8, 7, 9), "operator", EvalCache(normalize=False)) == \
-            alpha((10, 8, 7, 9), "operator", EvalCache(normalize=True)) == -2
 
     def test_counters(self):
         cache = EvalCache()
@@ -319,10 +309,6 @@ class TestEvalCache:
             self.write_cache_file(path, "2\t10,15\t6\n", normalize)
             with pytest.raises(ValueError, match="normalized"):
                 EvalCache().load(path)
-        # a raw-keyed cache may read raw keys from a raw-keyed file
-        raw = EvalCache(normalize=False)
-        assert raw.load(path) == 1
-        assert alpha((10, 15), "operator", raw) == 6
 
     def test_version_1_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"

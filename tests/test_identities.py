@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,9 @@ from monotri import (
     w_refinement,
 )
 from monotri.identities import staircase
+from monotri.report import build_report
 from oracles import mt_count_brute
+from test_failing_reports import off_by_one
 
 
 class TestAsmChain:
@@ -149,6 +152,55 @@ class TestGridRunners:
     def test_unknown_grid_rejected(self):
         with pytest.raises(ValueError):
             run_identity_grid("no-such-check", n=3)
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_shift_antisym_grid_matches_the_point_check(self, patched):
+        # On rows where the identity specializes to a split identity, point by
+        # point, with the routes right and with them off by one on some rows.
+        with off_by_one() if patched else contextlib.nullcontext():
+            report = run_identity_grid("shift-antisym", n=3, window=(-2, 2), exhaustive=True)
+            derived = 0
+            for result in report.metadata["results"]:
+                row, i = result["params"]["row"], result["params"]["i"]
+                if row[i] in (row[i - 1] - 1, row[i - 1] - 2):
+                    derived += 1
+                    point = check_shift_antisymmetry(row, i)
+                    assert point.passed == result["ok"], result
+                    assert set(point.metadata) <= {"neighbor_split_instance", "two_step_split_instance"}
+                    assert len(point.metadata) == 1
+        # 2 positions, 4 + 3 pairs (x, x - 1) and (x, x - 2) in the window, 5 other entries
+        assert derived == 2 * 7 * 5
+        assert report.passed != patched
+
+    def test_checking_nothing_raises(self):
+        with pytest.raises(ValueError, match="no point to check"):
+            run_identity_grid("neighbor-split", n=1)
+        with pytest.raises(ValueError, match="no point to check"):
+            run_conjecture_suite(ConjectureSpec(names=("ratio-k6",), n_values=(2,)))
+        with pytest.raises(ValueError, match="no point to check"):
+            emit_ratio_sequence(4, (1, 2, 3))
+
+
+class TestStatusWords:
+    def test_builder_words_by_kind(self):
+        words = {}
+        for kind in ("proven", "conjecture", "info"):
+            for failures in ([], [{"params": {}}]):
+                report = build_report("x", "g", kind, 1, failures, {}, 0.0)
+                words[kind, bool(failures)] = report.status
+                assert report.counterexample == (failures[0] if failures else None)
+        assert words == {("proven", False): "pass", ("proven", True): "fail",
+                         ("conjecture", False): "consistent", ("conjecture", True): "inconsistent",
+                         ("info", False): "info", ("info", True): "info"}
+
+    def test_family_words_follow_the_kind(self):
+        with off_by_one():
+            statuses = [
+                (report.metadata["kind"], report.status)
+                for names, n_values in [(("comb-rec", "rev-dup"), (1, 2)), (("comb-rec", "rev-dup"), (3,))]
+                for report in run_conjecture_suite(ConjectureSpec(names=names, n_values=n_values))]
+        assert statuses == [("proven", "pass"), ("conjecture", "consistent"),
+                            ("proven", "fail"), ("conjecture", "inconsistent")]
 
 
 class TestConjectureSuite:
