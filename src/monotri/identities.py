@@ -146,7 +146,7 @@ def _agreement(p: dict, ev: Callable[[Row], dict[str, int]]) -> tuple[dict, dict
     return values, dict.fromkeys(values, next(iter(values.values())))
 
 
-def _values(params: dict, values: dict, _) -> dict:
+def _method_values(params: dict, values: dict, _) -> dict:
     return {"row": params["row"], "values": {m: str(v) for m, v in values.items()}}
 
 
@@ -227,7 +227,7 @@ def check_method_agreement(k, methods: Sequence[str] | None = None,
     k = tuple(k)
     methods = tuple(methods) if methods else applicable_methods(k)
     started = time.perf_counter()
-    _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method(caches or {}, methods), _values)
+    _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method(caches or {}, methods), _method_values)
     return build_report("theorem1", f"single point {list(k)}", "proven", 1, failures,
                         {"methods": list(methods)}, started)
 
@@ -339,7 +339,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     identity, counterexample, extras, metadata = _GRID_IDENTITIES[name], _lhs_rhs, [{}], {}
     if name == "theorem1":
         # one private cache per method, shared across the grid
-        ev, counterexample = _by_method({m: EvalCache() for m in METHODS}), _values
+        ev, counterexample = _by_method({m: EvalCache() for m in METHODS}), _method_values
     elif name in ("lemma1", "operator-alt"):
         ev = partial(_mixed_function, seed, n=n)
         extras = [{"function": idx} for idx in range(functions)]
