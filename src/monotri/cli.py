@@ -15,6 +15,8 @@ import os
 import re
 import sys
 import time
+from functools import partial
+from typing import Callable
 
 from .decorated import enumerate_tn, tn_totals, verify_reduction
 from .evaluate import METHODS, EvalCache, alpha, applicable_methods
@@ -31,6 +33,7 @@ from .report import VerificationReport, render_table
 from .rows import (
     BudgetExceededError,
     EnumerationLimits,
+    count_triangles,
     enumerate_dmt,
     enumerate_gmt,
     enumerate_mt,
@@ -84,8 +87,13 @@ def cmd_enumerate(args) -> int:
     row = parse_row(args.row)
     limits = EnumerationLimits(max_rows_generated=args.max_rows, max_triangles=args.max_triangles)
     if args.count or args.signed:
-        totals = tn_totals(row, limits) if args.klass == "tn" else triangle_totals(args.klass, row, limits)
-        print(totals[1] if args.signed else totals[0])
+        if args.klass == "tn":
+            totals = tn_totals(row, limits)
+            print(totals[1] if args.signed else totals[0])
+        elif args.signed:
+            print(triangle_totals(args.klass, row, limits)[1])
+        else:
+            print(count_triangles(args.klass, row, limits))
         return 0
     factory = {"mt": enumerate_mt, "dmt": enumerate_dmt, "gmt": enumerate_gmt, "tn": enumerate_tn}[args.klass]
     to_json = tn_to_json if args.klass == "tn" else triangle_to_json
@@ -118,7 +126,42 @@ def _emit(reports: list[VerificationReport], fmt: str) -> None:
     print(f"checked {len(reports)} report(s) in {total:.2f}s", file=sys.stderr)
 
 
-def cmd_verify(args) -> int:
+# The options of ``verify`` that each check reads; every check takes
+# --format and --jobs.  Giving another option a value other than its default
+# is a usage error, since it would change nothing.
+_GRID_OPTIONS = frozenset({"n", "window", "samples", "seed", "exhaustive"})
+_VERIFY_READS = {
+    "theorem1": _GRID_OPTIONS,
+    "cyclic": _GRID_OPTIONS | {"method"},
+    "neighbor-split": _GRID_OPTIONS | {"method", "i"},
+    "two-step-split": _GRID_OPTIONS | {"method", "i"},
+    "shift-antisym": _GRID_OPTIONS | {"method", "i"},
+    "lemma1": _GRID_OPTIONS | {"functions", "zero_triple_rows"},
+    "operator-alt": _GRID_OPTIONS | {"functions"},
+    "reduction": _GRID_OPTIONS | {"row"},
+    "ratio-scan": frozenset({"k", "n", "n_range", "method"}),
+    "all": (_GRID_OPTIONS - {"n"}) | {"i", "method", "zero_triple_rows", "row", "time_budget_secs"},
+    **dict.fromkeys(CONJECTURES, frozenset({"n", "n_range", "method", "time_budget_secs"})),
+}
+
+
+def _check_verify_options(args, default: Callable[[str], object]) -> None:
+    """Reject an option the chosen check does not read, and an ``--i``
+    outside the positions 1..n-1 of the rows it checks."""
+    name = args.identity
+    reads = _VERIFY_READS[name] | {"format", "jobs"}
+    ignored = [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+               if dest not in reads | {"command", "identity", "func"} and value != default(dest)]
+    if ignored:
+        raise ValueError(f"{name} does not read {', '.join(ignored)}")
+    if args.i is not None:
+        n = args.n if args.n is not None else 3
+        if not 1 <= args.i <= n - 1:
+            raise ValueError(f"--i {args.i} outside the positions 1..{n - 1} of {name}")
+
+
+def cmd_verify(default: Callable[[str], object], args) -> int:
+    _check_verify_options(args, default)
     window = parse_window(args.window)
     reports: list[VerificationReport] = []
     started = time.perf_counter()
@@ -235,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", default="table", choices=("json", "table"))
     p_verify.add_argument("--time-budget-secs", type=float, default=0.0,
                           help="extend auto-sized conjecture grids while under this budget")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=partial(cmd_verify, p_verify.get_default))
     return parser
 
 

@@ -13,9 +13,11 @@ provided and must agree wherever they apply:
 * ``mt``            -- direct monotone-triangle counting, strictly increasing
                        rows only.
 
-The operator, operator_alt and third routes each write the polynomial at a
-row as a signed sum of its values at shorter rows, grouped into boxes
-(products of ranges); one memoized evaluator runs all three over their boxes.
+The operator, operator_alt and third routes write the polynomial at a row
+as a signed sum of its values at shorter rows, which they memoize in an
+:class:`EvalCache`.  The operator routes walk their recursion over chain
+states (:func:`_chain`), the third route over boxes, products of ranges
+(:func:`_memo_eval`); neither kernel recurses.
 
 All arithmetic is arbitrary-precision integer; there is no floating point in
 any value path.
@@ -27,8 +29,8 @@ import hashlib
 import os
 import re
 import tempfile
-from functools import lru_cache, partial
-from itertools import chain, combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, product, repeat
 from math import prod
 from typing import Callable, Iterator
 
@@ -62,48 +64,118 @@ def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
     return sign * sum(f(v) for v in values)
 
 
-# The operator walks.  The operator over bounds k applies a function of
-# len(k) - 1 arguments to a signed family of rows.  One walk unrolls either
-# recursion for the operator into an explicit stack and yields that family as
-# signed boxes, in the order the recursion reaches them: a box is a tuple of
-# ranges, one per row position, whose product lists its rows in the order the
-# recursion calls the function on them.  A stack frame holds the bounds still
-# to expand; the ranges of the row positions already fixed (the values of an
-# extended sum, or the single value a position is pinned to); the sign; and
-# the number of rows in the box.  At a single bound the fixed positions make
-# up the whole box.  A summed branch over an empty range has no rows and is
-# dropped.
+# The operator chain.  The operator over bounds k, applied to a function of
+# len(k) - 1 arguments, unrolls into chain states.  A state (j, s) is a tuple
+# s as long as k whose first j entries are bounds still to expand and whose
+# other entries are arguments already fixed; its value is the operator over
+# s[:j] applied to the function with its last len(k) - j arguments fixed to
+# s[j:], so (len(k), k) is the whole operator.  Expanding the last bound gives
+# the children of a state, as the recursion of operator_apply or of
+# operator_apply_alt defines them:
+#
+# * operator: the summed branch sets position j - 1 to each x of the extended
+#   range s[j-2]+1 .. s[j-1], at j - 1, with the range's sign; the pinned
+#   branch sets positions j - 2, j - 1 to (s[j-2] - 1, s[j-2]), at j - 1.
+# * operator_alt: the summed branch covers s[j-2] .. s[j-1], at j - 1; for
+#   j >= 3 the doubled branch sets both positions to s[j-2], at j - 2, with
+#   its sign negated.
+#
+# A child at j == 1 is a leaf, the function at its s[1:].  A state's value
+# depends on nothing else, so each state is expanded once and its value kept
+# in a memo local to the walk, one dict per j.
 
-Box = tuple[tuple[range, ...], int, int]
 
+def _chain(k: Row, alt: bool, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
+    """The operator over bounds ``k`` by the recursion of operator_apply, or
+    of operator_apply_alt when ``alt`` is set, walked over its chain states
+    with ``fn`` at the leaves.  Given ``cache`` instead of ``fn``, it is the
+    polynomial at ``k``: the leaves are its values at shorter rows, looked up
+    in ``cache`` and on a miss computed the same way and stored there.  The
+    states of a row then start at 0 like its key, and so do their children,
+    which keep the first entry; that is exact because a translated state has
+    the translated children.
 
-def _op_boxes(k: Row, alt: bool = False) -> Iterator[Box]:
-    """(ranges, sign, size) boxes of the operator over bounds k, by the
-    recursion of :func:`operator_apply`, or of :func:`operator_apply_alt`
-    when ``alt`` is set."""
-    stack = [(k, (), 1, 1)]
-    while stack:
-        k, tail, sign, size = stack.pop()
-        if len(k) == 1:
-            yield tail, sign, size
-            continue
-        second, last = k[-2], k[-1]
-        pin = range(second, second + 1)
-        if not alt:
-            # The pinned branch goes below the summed one, which is walked first.
-            stack.append((k[:-2] + (second - 1,), (pin,) + tail, sign, size))
-            values, s = _extended_range(second + 1, last)
-        elif len(k) == 2:
-            values, s = _extended_range(second, last)
-            if values:
-                yield (values,) + tail, sign * s, size * len(values)
-            continue
-        else:
-            # The doubled branch goes below the summed one, which is walked first.
-            stack.append((k[:-2], (pin, pin) + tail, -sign, size))
-            values, s = _extended_range(second, last)
-        if values:
-            stack.append((k[:-1], (values,) + tail, sign * s, size * len(values)))
+    An explicit stack replaces the recursion.  A frame is the dict and key
+    its value goes to, its running total, its remaining groups of children,
+    and the keys still to look up in the current group with that group's
+    sign, dict and j.  A miss suspends the group until the missed key is
+    evaluated.  The whole operator is the one child of a root frame.  Only
+    lookups of rows count as cache hits and misses: each is a leaf of a state
+    the walk expands.  A row of length 1 is worth 1 and is not looked up.
+    """
+    memos = [{} for _ in k]
+    store = {} if cache is None else cache._store
+    lookups, misses, stack = 1, 0, []
+    target = key = None
+    total, groups, sign = 0, iter(()), 1
+    keys, d, j = iter([k if cache is None else cache._key(k)]), store, len(k)
+    get = d.get
+    try:
+        while True:
+            for child in keys:
+                value = get(child)
+                if value is None:
+                    misses += d is store
+                    stack.append((target, key, total, groups, keys, sign, d, j))
+                    target, key, total, groups = d, child, 0, []
+                    # The summed branch, then the pinned or doubled one.
+                    second, last = child[j - 2], child[j - 1]
+                    tail = child[j:]
+                    values, sign = _extended_range(second if alt else second + 1, last)
+                    if j > 2:
+                        if values:
+                            head = child[:j - 1]
+                            groups.append((sign, memos[j - 1], iter([head + (x,) + tail for x in values]), j - 1))
+                    elif cache is None:
+                        total += sign * sum([fn((x,) + tail) for x in values])
+                    elif not tail:
+                        total += sign * len(values)
+                    elif values:
+                        # Row keys (x,) + tail translated to start at 0, built in C.
+                        a, b = values.start, values.stop
+                        lookups += b - a
+                        rows = zip(repeat(0, b - a), *[range(v - a, v - b, -1) for v in tail])
+                        groups.append((sign, store, rows, len(tail) + 1))
+                    if not alt or j > 2:
+                        # One child, looked up at once: only a miss makes it a group.
+                        if alt:
+                            i, sign, other = j - 2, -1, child[:j - 2] + (second, second) + tail
+                        else:
+                            i, sign, other = j - 1, 1, child[:j - 2] + (second - 1, second) + tail
+                        if i > 1:
+                            dest = memos[i]
+                        elif cache is None:
+                            dest, total = None, total + sign * fn(other[1:])
+                        elif len(other) == 2:
+                            dest, total = None, total + sign
+                        else:
+                            dest, i, lookups = store, len(other) - 1, lookups + 1
+                            other = tuple([v - other[1] for v in other[1:]])
+                        if dest is not None:
+                            value = dest.get(other)
+                            if value is None:
+                                groups.append((sign, dest, iter((other,)), i))
+                            else:
+                                total += sign * value
+                    groups, keys = iter(groups), iter(())
+                    break
+                total += sign * value
+            else:
+                group = next(groups, None)
+                if group is not None:
+                    sign, d, keys, j = group
+                    get = d.get
+                    continue
+                if not stack:
+                    return total
+                target[key] = value = total
+                target, key, total, groups, keys, sign, d, j = stack.pop()
+                get = d.get
+                total += sign * value
+    finally:
+        if cache is not None:
+            cache.hits += lookups - misses
+            cache.misses += misses
 
 
 def operator_apply(k, fn: RowFunction) -> int:
@@ -118,7 +190,7 @@ def operator_apply(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 2:
         raise ValueError("the operator needs at least two bounds")
-    return sum(sign * sum(map(fn, product(*tail))) for tail, sign, _ in _op_boxes(k))
+    return _chain(k, False, fn)
 
 
 def operator_apply_alt(k, fn: RowFunction) -> int:
@@ -129,7 +201,7 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 3:
         raise ValueError("the alternative recursion needs at least three bounds")
-    return sum(sign * sum(map(fn, product(*tail))) for tail, sign, _ in _op_boxes(k, alt=True))
+    return _chain(k, True, fn)
 
 
 # The routes that fill a memo; gmt and mt keep none.
@@ -296,6 +368,9 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
             yield chosen, tuple(ranges), sign
 
 
+Box = tuple[tuple[range, ...], int, int]
+
+
 def _third_boxes(r: Row) -> Iterator[Box]:
     """(ranges, sign, size) boxes of the inclusion-exclusion expansion at r."""
     return ((ranges, sign, prod(map(len, ranges))) for _, ranges, sign in third_families(r))
@@ -305,10 +380,10 @@ def _third_boxes(r: Row) -> Iterator[Box]:
 # keys in C, one product of shifted ranges per value of the first position;
 # smaller boxes build them row by row, which costs less than setting up the
 # shifted ranges.  Measured with CPython 3.11 on the operator rows of the
-# alpha_mix benchmark workload: any cutover from 4 to 64 gives the same time
-# within 5%; building every box row by row makes those rows 14% slower and
-# the row 0,1000,2000 3.3x slower, and building every box in C makes those
-# rows 27% slower.
+# alpha_mix benchmark workload, when the operator routes ran over boxes too:
+# any cutover from 4 to 64 gives the same time within 5%; building every box
+# row by row makes those rows 14% slower and the row 0,1000,2000 3.3x slower,
+# and building every box in C makes those rows 27% slower.
 _WIDE_BOX = 12
 
 
@@ -323,10 +398,11 @@ def _box_keys(tail: tuple[range, ...], size: int) -> Iterator[Row]:
         for v in first)
 
 
-def _memo_eval(row: Row, cache: EvalCache, boxes_of: Callable[[Row], Iterator[Box]]) -> int:
-    """The polynomial at ``row`` as the signed sum, over the boxes
-    ``boxes_of`` gives for it, of its values at the rows of each box; those
-    values are memoized in ``cache`` and computed the same way on a miss.
+def _memo_eval(row: Row, cache: EvalCache) -> int:
+    """The polynomial at ``row``, of length at least 2, as the signed sum,
+    over the boxes of its inclusion-exclusion expansion, of its values at the
+    rows of each box; those values are memoized in ``cache`` and computed the
+    same way on a miss.
 
     An explicit stack replaces the recursion and makes the same memo lookups
     in the same order: every row of a box is looked up in product order, a
@@ -335,8 +411,6 @@ def _memo_eval(row: Row, cache: EvalCache, boxes_of: Callable[[Row], Iterator[Bo
     Rows are evaluated at their keys, which is exact because the boxes of a
     translated row are the translated boxes.
     """
-    if len(row) == 1:
-        return 1
     store = cache._store
     key = cache._key(row)
     value = store.get(key)
@@ -351,14 +425,14 @@ def _memo_eval(row: Row, cache: EvalCache, boxes_of: Callable[[Row], Iterator[Bo
         # with that box's sign.  ``keys`` must be an iterator: a suspended
         # box resumes after the missed key, it does not start over.
         stack = []
-        boxes, total, keys, sign = boxes_of(key), 0, iter(()), 0
+        boxes, total, keys, sign = _third_boxes(key), 0, iter(()), 0
         while True:
             for k in keys:
                 value = get(k)
                 if value is None:
                     misses += 1
                     stack.append((key, boxes, total, keys, sign))
-                    key, boxes, total, keys, sign = k, boxes_of(k), 0, iter(()), 0
+                    key, boxes, total, keys, sign = k, _third_boxes(k), 0, iter(()), 0
                     break
                 hits += 1
                 total += sign * value
@@ -405,9 +479,11 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     elif len(cache) and cache.route != method:
         raise ValueError(f"the cache holds values of route {cache.route!r}, not {method!r}")
     cache.route = method
+    if len(row) == 1:
+        return 1
     if method == "third":
-        return _memo_eval(row, cache, _third_boxes)
-    return _memo_eval(row, cache, partial(_op_boxes, alt=method == "operator_alt"))
+        return _memo_eval(row, cache)
+    return _chain(row, method == "operator_alt", cache=cache)
 
 
 def applicable_methods(row) -> tuple[str, ...]:

@@ -252,7 +252,15 @@ def _unit_signs(lower, rows) -> list[int]:
 def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
     """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
     ("gmt", "mt" or "dmt") with the given bottom row, without building one;
-    no budget applies when ``limits`` is None.
+    no budget applies when ``limits`` is None.  See :func:`_totals`; for "mt"
+    every edge sign is +1 and none is computed."""
+    return _totals(klass, bottom, limits, _unit_signs if klass == "mt" else _edge_signs)
+
+
+def _totals(klass: str, bottom, limits: EnumerationLimits | None,
+            edge_signs: Callable[[tuple[int, ...], list], list[int]]) -> tuple[int, int]:
+    """(number, signed total) of the triangles of ``klass`` with the given
+    bottom row, with ``edge_signs(row, rows above)`` as the edge signs.
 
     The walk visits rows in stream order and charges both budgets as the
     stream does.  A row whose subtree was already walked is skipped whole,
@@ -260,12 +268,11 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
     is left of both budgets; otherwise the walk goes into it.  So it raises
     the stream's ``BudgetExceededError`` at the same point and never expands
     a row the stream would not.  A row's signed total is the sum, over the
-    rows above it, of their signed totals times the edge sign
-    (-1)**row_sign_changes, computed for the rows above a row when it is
-    expanded; for "mt" every edge sign is +1 and none is computed.
+    rows above it, of their signed totals times the edge sign, computed for
+    the rows above a row when it is expanded.  The number does not depend
+    on the edge signs.
     """
     bottom, expand = _class_expansion(klass, bottom)
-    edge_signs = _unit_signs if klass == "mt" else _edge_signs
     if expand is None:
         return 0, 0
     if not bottom:
@@ -319,8 +326,9 @@ def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tup
 def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None) -> int:
     """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
     bottom row: the length of ``enumerate_<klass>(bottom, limits)``, or its
-    budget error, from :func:`triangle_totals` without building a triangle."""
-    return triangle_totals(klass, bottom, limits or DEFAULT_LIMITS)[0]
+    budget error, from the walk of :func:`triangle_totals` without building a
+    triangle or computing an edge sign."""
+    return _totals(klass, bottom, limits or DEFAULT_LIMITS, _unit_signs)[0]
 
 
 def signed_gmt_count(bottom) -> int:

@@ -3,7 +3,8 @@
 Everything here enumerates candidate objects over a bounded value box and
 filters with plain predicates, except the recursions at the end: the two
 operator recursions and the inclusion-exclusion expansion, written as nested
-closures straight from their definitions, the triangle and decorated-triangle
+closures straight from their definitions, the operator recursions over their
+chain states as memoized closures, the triangle and decorated-triangle
 streams as nested generators, and the signed triangle count as a memoized
 closure.
 None of it shares code with the package under test; it exists so the fast
@@ -234,6 +235,49 @@ def memo_closures(row, cache, apply):
             return cached
         value = apply(r, ev)
         cache.put(r, value)
+        return value
+
+    return ev(tuple(row))
+
+
+def chain_closures(row, cache, alt=False):
+    """The polynomial at ``row`` by the chain states of the operator
+    recursion (``alt`` for the alternative one), as memoized closures: a
+    state (j, s) is the operator over s[:j] applied to the polynomial with
+    its last arguments fixed to s[j:], (len(r), r) is the polynomial at r and
+    (1, s) the polynomial at s[1:].  Rows are memoized in ``cache`` through
+    its ``get`` and ``put``, states in a dict under (j, s translated to start
+    at 0)."""
+    states = {}
+
+    def ev(r):
+        if len(r) == 1:
+            return 1
+        cached = cache.get(r)
+        if cached is not None:
+            return cached
+        value = state(len(r), r)
+        cache.put(r, value)
+        return value
+
+    def state(j, s):
+        if j == 1:
+            return ev(s[1:])
+        key = (j, tuple(v - s[0] for v in s))
+        if key in states:
+            return states[key]
+        second, last = s[j - 2], s[j - 1]
+
+        def summed(x):
+            return state(j - 1, s[:j - 1] + (x,) + s[j:])
+
+        if alt:
+            value = _ext_sum(summed, second, last)
+            if j > 2:
+                value -= state(j - 2, s[:j - 2] + (second, second) + s[j:])
+        else:
+            value = _ext_sum(summed, second + 1, last) + state(j - 1, s[:j - 2] + (second - 1, second) + s[j:])
+        states[key] = value
         return value
 
     return ev(tuple(row))

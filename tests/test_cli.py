@@ -8,6 +8,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monotri.rows
 from monotri import alpha, triangle_from_json, validate_gmt
 from monotri.cli import main, parse_row, parse_window
 
@@ -128,6 +129,15 @@ class TestEnumerateCommand:
         assert run_cli("enumerate", "gmt", "--row", "4,2,1,3", "--signed").stdout == "-2\n"
         assert run_cli("enumerate", "mt", "--row", "1,2,3", "--count").stdout == "7\n"
 
+    def test_count_takes_no_sign(self, capsys, monkeypatch):
+        def refuse(lower, upper):
+            raise AssertionError("row_sign_changes called on a count")
+
+        monkeypatch.setattr(monotri.rows, "row_sign_changes", refuse)
+        for klass, row, count in (("gmt", "4,2,1,3", 4), ("dmt", "3,2,1", 1), ("dmt", "7,5,4,2,0", 15)):
+            assert main(["enumerate", klass, "--row", row, "--count"]) == 0
+            assert capsys.readouterr().out == f"{count}\n"
+
     def test_signed_total_without_building_triangles(self, capsys):
         for klass, row in (("gmt", "3,-1,2,0,-2,1,4"), ("dmt", "8,6,4,3,3,1,0"), ("mt", "2,4,5,8,9")):
             assert main(["enumerate", klass, "--row", row, "--signed"]) == 0
@@ -213,6 +223,29 @@ class TestVerifyCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    def test_options_the_check_does_not_read_are_usage_errors(self, capsys):
+        for argv, message in [
+            (["cyclic", "--n", "3", "--samples", "3", "--i", "7"], "cyclic does not read --i"),
+            (["operator-alt", "--zero-triple-rows", "--n", "3", "--samples", "3"],
+             "operator-alt does not read --zero-triple-rows"),
+            (["rev-dup", "--n", "2", "--row", "9,9", "--k", "3"], "rev-dup does not read --k, --row"),
+            (["theorem1", "--n", "2", "--method", "gmt"], "theorem1 does not read --method"),
+            (["lemma1", "--n", "2", "--time-budget-secs", "5"], "lemma1 does not read --time-budget-secs"),
+            (["all", "--functions", "3"], "all does not read --functions"),
+            (["neighbor-split", "--n", "3", "--i", "3"], "--i 3 outside the positions 1..2 of neighbor-split"),
+            (["shift-antisym", "--n", "4", "--i", "0"], "--i 0 outside the positions 1..3 of shift-antisym"),
+            (["all", "--i", "3"], "--i 3 outside the positions 1..2 of all"),
+        ]:
+            assert main(["verify", *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
+    def test_options_at_their_defaults_and_jobs_go_with_any_check(self, capsys):
+        argv = ["rev-dup", "--n", "2", "--samples", "100", "--functions", "10", "--jobs", "8", "--format", "json"]
+        assert main(["verify", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_exhaustive_grid_ignores_samples(self, capsys):
         assert main(["verify", "cyclic", "--n", "2", "--window", "0..1", "--exhaustive",

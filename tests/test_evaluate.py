@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -19,6 +21,7 @@ from monotri import (
 from monotri import evaluate
 from monotri.identities import hashed_row_function
 from oracles import (
+    chain_closures,
     memo_closures,
     operator_alt_closures,
     operator_closures,
@@ -117,15 +120,16 @@ class TestFlatWalks:
         assert operator_apply_alt(k, fn) == operator_alt_closures(k, fn)
 
     @pytest.mark.parametrize("row, method, value, entries, hits", [
-        (tuple(range(1, 12)), "operator", 31095744852375, 1023, 57961),
-        ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 3091, 335481),
-        (tuple(range(1, 9)), "operator_alt", 10850216, 803, 47322),
+        (tuple(range(1, 12)), "operator", 31095744852375, 1023, 2483),
+        ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 3091, 12503),
+        (tuple(range(1, 9)), "operator_alt", 10850216, 803, 3077),
         (tuple(range(1, 9)), "third", 10850216, 803, 47322),
         ((0, 1000, 2000), "operator", 1003003000, 2001, 1000000),
     ])
     def test_memo_counters(self, row, method, value, entries, hits):
-        # One memo lookup per term the walks yield: a change to the term
-        # structure moves these counts.
+        # One row lookup per leaf of each chain state the operator routes
+        # expand, and one per term of the boxes of third: a change to the
+        # chain or to the term structure moves these counts.
         cache = EvalCache()
         assert alpha(row, method, cache) == value
         assert (len(cache), cache.hits, cache.misses) == (entries, hits, entries)
@@ -139,13 +143,37 @@ ROUTES = {
 }
 
 
+# The operator routes over their chain states: the same row lookups as the
+# chain kernel makes.
+CHAINS = {
+    "operator": lambda row, cache: chain_closures(row, cache),
+    "operator_alt": lambda row, cache: chain_closures(row, cache, alt=True),
+    "third": third_closures,
+}
+
+
 def counters(cache):
     return len(cache), cache.hits, cache.misses
 
 
+def walk_row(start_steps):
+    start, steps = start_steps
+    row = [start]
+    for step in steps:
+        row.append(max(-6, min(6, row[-1] + step)))
+    return row
+
+
+# Rows of length 1-6 with entries in -6..6 and steps of at most 3.  The cost
+# of the closure recursions grows with the steps: on (6, -6, 6, -6, 6, -6)
+# memo_closures makes 118 million lookups and takes minutes.
+walked_rows = st.tuples(st.integers(-6, 6), st.lists(st.integers(-3, 3), max_size=5)).map(walk_row)
+
+
 class TestMemoKernel:
-    """The memo kernel against the memoized closure recursions: the same
-    values and the same memo lookups, hits and misses."""
+    """The memo kernels against the memoized closure recursions: the same
+    values, memo entries and misses, and the same row lookups as the
+    recursion they unroll (the chain states for the operator routes)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(bound, min_size=1, max_size=5))
@@ -163,21 +191,48 @@ class TestMemoKernel:
            st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=3))
     def test_shared_cache_matches_closure_recursion(self, method, rows):
         # One cache across several rows, so later rows hit what earlier rows stored.
-        cache, reference = EvalCache(), EvalCache()
+        cache, reference, chain = EvalCache(), EvalCache(), EvalCache()
         for row in rows:
-            assert alpha(row, method, cache) == ROUTES[method](row, reference)
-            assert counters(cache) == counters(reference)
+            assert alpha(row, method, cache) == ROUTES[method](row, reference) == CHAINS[method](row, chain)
+            assert counters(cache) == counters(chain)
+            assert (len(cache), cache.misses) == (len(reference), reference.misses)
+        assert cache._store == reference._store == chain._store
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["operator", "operator_alt"]), walked_rows)
+    @example("operator", [5])
+    @example("operator", [6, 3, 0, -3, -6, -3])
+    @example("operator_alt", [-6, -3, 0, 3, 6, 3])
+    @example("operator_alt", [0, 0, 0, 0, 0, 0])
+    def test_chain_matches_memo_closures(self, method, row):
+        cache, reference = EvalCache(), EvalCache()
+        assert alpha(row, method, cache) == ROUTES[method](row, reference)
         assert cache._store == reference._store
+        assert cache.misses == reference.misses
 
     @pytest.mark.parametrize("wide", [1, 10**9])
     def test_both_key_builders(self, monkeypatch, wide):
-        # Every box on one side of the cutover, then every box on the other.
+        # Every box of third on one side of the cutover, then every box on
+        # the other; the operator routes build no boxes.  Hits are pinned:
+        # third's equal its closure recursion's.
         monkeypatch.setattr(evaluate, "_WIDE_BOX", wide)
-        for row, method in [((3, -1, 2, 0, -2, 1), "operator"), ((7, 0, 9, 2), "operator_alt"),
-                            ((2, 9, 1, 4, 4), "third"), ((0, 30, 60), "operator")]:
+        for row, method, hits in [((3, -1, 2, 0, -2, 1), "operator", 1856), ((7, 0, 9, 2), "operator_alt", 838),
+                                  ((2, 9, 1, 4, 4), "third", 5735), ((0, 30, 60), "operator", 900)]:
             cache, reference = EvalCache(), EvalCache()
             assert alpha(row, method, cache) == ROUTES[method](row, reference)
-            assert counters(cache) == counters(reference)
+            assert counters(cache) == (len(reference), hits, reference.misses)
+            if method == "third":
+                assert reference.hits == hits
+
+    def test_kernels_do_not_recurse(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            assert alpha(tuple(range(1, 13))) == 12611311859677500
+            assert alpha(tuple(range(1, 9)), "operator_alt") == 10850216
+            assert alpha(tuple(range(1, 9)), "third") == 10850216
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_wide_pair_costs_no_lookups(self):
         cache = EvalCache()

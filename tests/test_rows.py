@@ -414,3 +414,15 @@ class TestCountTriangles:
         assert triangle_totals("mt", (2, 4, 5, 8, 9), None) == (16939, 16939)
         with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
             count_triangles("mt", (2, 4, 5, 8, 9), EnumerationLimits(max_triangles=16938))
+
+    def test_count_takes_no_sign(self, monkeypatch):
+        # the number of triangles does not depend on the edge signs
+        def refuse(lower, upper):
+            raise AssertionError("row_sign_changes called on a count")
+
+        monkeypatch.setattr(monotri.rows, "row_sign_changes", refuse)
+        assert count_triangles("gmt", (4, 2, 1, 3)) == 4
+        assert count_triangles("gmt", tuple(range(1, 7))) == 7436
+        assert count_triangles("dmt", (3, 2, 1)) == len(list(enumerate_dmt((3, 2, 1))))
+        with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
+            count_triangles("gmt", (0, 300, 600))
