@@ -62,9 +62,13 @@ def parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse window {text!r}: expected integer bounds")
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(default: Callable[[str], object], args) -> int:
     row = parse_row(args.row)
     if args.all_methods:
+        ignored = [f"--{dest.replace('_', '-')}" for dest in ("method", "cache_file")
+                   if getattr(args, dest) != default(dest)]
+        if ignored:
+            raise ValueError(f"--all-methods does not read {', '.join(ignored)}")
         values = []
         for method in applicable_methods(row):
             values.append(alpha(row, method))
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print one value per applicable method; exit 1 on disagreement")
     p_alpha.add_argument("--cache-file", help="load/persist memoized values (a checksummed "
                                                "header line, then one record per line)")
-    p_alpha.set_defaults(func=cmd_alpha)
+    p_alpha.set_defaults(func=partial(cmd_alpha, p_alpha.get_default))
 
     p_enum = _allow_negative_values(sub.add_parser("enumerate", help="stream triangles with a prescribed bottom row"))
     p_enum.add_argument("klass", choices=("mt", "dmt", "gmt", "tn"), metavar="class",

@@ -15,9 +15,9 @@ provided and must agree wherever they apply:
 
 The operator, operator_alt and third routes write the polynomial at a row
 as a signed sum of its values at shorter rows, which they memoize in an
-:class:`EvalCache`.  The operator routes walk their recursion over chain
-states (:func:`_chain`), the third route over boxes, products of ranges
-(:func:`_memo_eval`); neither kernel recurses.
+:class:`EvalCache`.  One kernel, :func:`_chain`, walks all three without
+recursing: the operator routes expand a row into chain states, the third
+route into boxes, products of ranges.
 
 All arithmetic is arbitrary-precision integer; there is no floating point in
 any value path.
@@ -85,15 +85,20 @@ def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
 # in a memo local to the walk, one dict per j.
 
 
-def _chain(k: Row, alt: bool, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
+def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
     """The operator over bounds ``k`` by the recursion of operator_apply, or
-    of operator_apply_alt when ``alt`` is set, walked over its chain states
-    with ``fn`` at the leaves.  Given ``cache`` instead of ``fn``, it is the
-    polynomial at ``k``: the leaves are its values at shorter rows, looked up
-    in ``cache`` and on a miss computed the same way and stored there.  The
-    states of a row then start at 0 like its key, and so do their children,
-    which keep the first entry; that is exact because a translated state has
-    the translated children.
+    of operator_apply_alt when ``route`` is ``operator_alt``, walked over its
+    chain states with ``fn`` at the leaves.  Given ``cache`` instead of
+    ``fn``, it is the polynomial at ``k`` by ``route``: the leaves are its
+    values at shorter rows, looked up in ``cache`` and on a miss computed the
+    same way and stored there.  The states of a row then start at 0 like its
+    key, and so do their children, which keep the first entry; that is exact
+    because a translated state has the translated children.  On the third
+    route a missed row expands into the boxes of its inclusion-exclusion
+    expansion instead (:func:`third_families`), each a group of row keys in
+    product order, except that a box of rows of length 1 adds its signed size
+    without lookups; that is exact because the boxes of a translated row are
+    the translated boxes.
 
     An explicit stack replaces the recursion.  A frame is the dict and key
     its value goes to, its running total, its remaining groups of children,
@@ -101,8 +106,10 @@ def _chain(k: Row, alt: bool, fn: RowFunction | None = None, cache: EvalCache | 
     sign, dict and j.  A miss suspends the group until the missed key is
     evaluated.  The whole operator is the one child of a root frame.  Only
     lookups of rows count as cache hits and misses: each is a leaf of a state
-    the walk expands.  A row of length 1 is worth 1 and is not looked up.
+    or a row of a box the walk expands.  A row of length 1 is worth 1 and is
+    not looked up.
     """
+    alt, third = route == "operator_alt", route == "third"
     memos = [{} for _ in k]
     store = {} if cache is None else cache._store
     lookups, misses, stack = 1, 0, []
@@ -118,6 +125,15 @@ def _chain(k: Row, alt: bool, fn: RowFunction | None = None, cache: EvalCache | 
                     misses += d is store
                     stack.append((target, key, total, groups, keys, sign, d, j))
                     target, key, total, groups = d, child, 0, []
+                    if third:
+                        for _, ranges, sign in third_families(child):
+                            if len(ranges) == 1:
+                                total += sign * len(ranges[0])
+                            else:
+                                lookups += prod(map(len, ranges))
+                                groups.append((sign, store, _box_keys(ranges), len(ranges)))
+                        groups, keys = iter(groups), iter(())
+                        break
                     # The summed branch, then the pinned or doubled one.
                     second, last = child[j - 2], child[j - 1]
                     tail = child[j:]
@@ -190,7 +206,7 @@ def operator_apply(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 2:
         raise ValueError("the operator needs at least two bounds")
-    return _chain(k, False, fn)
+    return _chain(k, "operator", fn)
 
 
 def operator_apply_alt(k, fn: RowFunction) -> int:
@@ -201,7 +217,7 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     k = tuple(k)
     if len(k) < 3:
         raise ValueError("the alternative recursion needs at least three bounds")
-    return _chain(k, True, fn)
+    return _chain(k, "operator_alt", fn)
 
 
 # The routes that fill a memo; gmt and mt keep none.
@@ -244,17 +260,6 @@ class EvalCache:
             base = row[0]
             return tuple([v - base for v in row])
         return row
-
-    def get(self, row: Row) -> int | None:
-        value = self._store.get(self._key(row))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, row: Row, value: int) -> None:
-        self._store[self._key(row)] = value
 
     def __len__(self) -> int:
         return len(self._store)
@@ -368,92 +373,14 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
             yield chosen, tuple(ranges), sign
 
 
-Box = tuple[tuple[range, ...], int, int]
-
-
-def _third_boxes(r: Row) -> Iterator[Box]:
-    """(ranges, sign, size) boxes of the inclusion-exclusion expansion at r."""
-    return ((ranges, sign, prod(map(len, ranges))) for _, ranges, sign in third_families(r))
-
-
-# Boxes of at least this many rows build their translation-normalized memo
-# keys in C, one product of shifted ranges per value of the first position;
-# smaller boxes build them row by row, which costs less than setting up the
-# shifted ranges.  Measured with CPython 3.11 on the operator rows of the
-# alpha_mix benchmark workload, when the operator routes ran over boxes too:
-# any cutover from 4 to 64 gives the same time within 5%; building every box
-# row by row makes those rows 14% slower and the row 0,1000,2000 3.3x slower,
-# and building every box in C makes those rows 27% slower.
-_WIDE_BOX = 12
-
-
-def _box_keys(tail: tuple[range, ...], size: int) -> Iterator[Row]:
-    """Memo keys of the rows of one box, in product order."""
-    if size < _WIDE_BOX:
-        return iter([tuple([v - row[0] for v in row]) if row[0] else row
-                     for row in product(*tail)])
-    first, rest = tail[0], tail[1:]
+def _box_keys(ranges: tuple[range, ...]) -> Iterator[Row]:
+    """Memo keys of the rows of one box, in product order, translated to
+    start at 0: one product of shifted ranges per value of the first
+    position, built in C."""
+    first, rest = ranges[0], ranges[1:]
     return chain.from_iterable(
         product((0,), *[range(r.start - v, r.stop - v) for r in rest])
         for v in first)
-
-
-def _memo_eval(row: Row, cache: EvalCache) -> int:
-    """The polynomial at ``row``, of length at least 2, as the signed sum,
-    over the boxes of its inclusion-exclusion expansion, of its values at the
-    rows of each box; those values are memoized in ``cache`` and computed the
-    same way on a miss.
-
-    An explicit stack replaces the recursion and makes the same memo lookups
-    in the same order: every row of a box is looked up in product order, a
-    miss suspends the box until the missed row is evaluated, and a box of
-    rows of length 1 (each worth 1) adds its signed size without lookups.
-    Rows are evaluated at their keys, which is exact because the boxes of a
-    translated row are the translated boxes.
-    """
-    store = cache._store
-    key = cache._key(row)
-    value = store.get(key)
-    if value is not None:
-        cache.hits += 1
-        return value
-    get = store.get
-    hits, misses = 0, 1
-    try:
-        # A frame is the key under evaluation, its remaining boxes, its
-        # running total, and the keys still to look up in the current box
-        # with that box's sign.  ``keys`` must be an iterator: a suspended
-        # box resumes after the missed key, it does not start over.
-        stack = []
-        boxes, total, keys, sign = _third_boxes(key), 0, iter(()), 0
-        while True:
-            for k in keys:
-                value = get(k)
-                if value is None:
-                    misses += 1
-                    stack.append((key, boxes, total, keys, sign))
-                    key, boxes, total, keys, sign = k, _third_boxes(k), 0, iter(()), 0
-                    break
-                hits += 1
-                total += sign * value
-            else:
-                box = next(boxes, None)
-                if box is not None:
-                    tail, sign, size = box
-                    if len(tail) == 1:
-                        total += sign * size
-                    else:
-                        keys = _box_keys(tail, size)
-                    continue
-                store[key] = total
-                if not stack:
-                    return total
-                value = total
-                key, boxes, total, keys, sign = stack.pop()
-                total += sign * value
-    finally:
-        cache.hits += hits
-        cache.misses += misses
 
 
 def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
@@ -481,9 +408,7 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     cache.route = method
     if len(row) == 1:
         return 1
-    if method == "third":
-        return _memo_eval(row, cache)
-    return _chain(row, method == "operator_alt", cache=cache)
+    return _chain(row, method, cache=cache)
 
 
 def applicable_methods(row) -> tuple[str, ...]:

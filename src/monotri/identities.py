@@ -35,8 +35,9 @@ Evaluator = Callable[[Row], int]
 
 
 def make_evaluator(method: str = "operator", cache: EvalCache | None = None) -> Evaluator:
-    """Bind a method and a shared cache into a row -> value function."""
-    if cache is None and method in ("operator", "operator_alt", "third"):
+    """Bind a method and a shared cache into a row -> value function; gmt
+    and mt ignore the cache."""
+    if cache is None:
         cache = EvalCache()
     return lambda row: alpha(row, method, cache)
 

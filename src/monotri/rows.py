@@ -11,6 +11,7 @@ same tree in the same order without building triangles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import inf
 from typing import Callable, Iterator
 
@@ -109,18 +110,12 @@ def mt_admissible_rows(lower) -> list[tuple[int, ...]]:
         raise ValueError("the lower row needs at least two entries")
     if any(k[j] >= k[j + 1] for j in range(m - 1)):
         raise ValueError("the lower row must be strictly increasing")
-    out: list[tuple[int, ...]] = []
-
-    def fill(j: int, prefix: tuple[int, ...]):
-        if j == m - 1:
-            out.append(prefix)
-            return
-        lo = k[j] if j == 0 else max(k[j], prefix[j - 1] + 1)
-        for v in range(lo, k[j + 1] + 1):
-            fill(j + 1, prefix + (v,))
-
-    fill(0, ())
-    return out
+    rows = product(*[range(k[j], k[j + 1] + 1) for j in range(m - 1)])
+    if m == 2:
+        return list(rows)
+    # l[j] <= k[j+1] <= l[j+1]: a row is weakly increasing, and strict
+    # unless two neighbours both equal k[j+1], that is unless a value repeats.
+    return [l for l in rows if len(set(l)) == m - 1]
 
 
 def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:

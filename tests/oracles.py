@@ -223,18 +223,37 @@ def operator_alt_closures(k, fn):
     return operator_alt_closures(k[:-1], summed) - operator_alt_closures(k[:-2], doubled)
 
 
+def _translated(r):
+    return tuple(v - r[0] for v in r)
+
+
+def _cache_get(cache, r):
+    """The value of row ``r`` in an ``EvalCache``'s store, under ``r``
+    translated to start at 0, or None; counted as a hit or a miss."""
+    value = cache._store.get(_translated(r))
+    if value is None:
+        cache.misses += 1
+    else:
+        cache.hits += 1
+    return value
+
+
+def _cache_put(cache, r, value):
+    cache._store[_translated(r)] = value
+
+
 def memo_closures(row, cache, apply):
     """The polynomial at ``row`` by the recursion ``apply(r, ev)`` (one of the
     operator recursions above, applied to the evaluation itself), memoized in
-    ``cache`` through its ``get`` and ``put``."""
+    ``cache`` through :func:`_cache_get` and :func:`_cache_put`."""
     def ev(r):
         if len(r) == 1:
             return 1
-        cached = cache.get(r)
+        cached = _cache_get(cache, r)
         if cached is not None:
             return cached
         value = apply(r, ev)
-        cache.put(r, value)
+        _cache_put(cache, r, value)
         return value
 
     return ev(tuple(row))
@@ -246,18 +265,18 @@ def chain_closures(row, cache, alt=False):
     state (j, s) is the operator over s[:j] applied to the polynomial with
     its last arguments fixed to s[j:], (len(r), r) is the polynomial at r and
     (1, s) the polynomial at s[1:].  Rows are memoized in ``cache`` through
-    its ``get`` and ``put``, states in a dict under (j, s translated to start
-    at 0)."""
+    :func:`_cache_get` and :func:`_cache_put`, states in a dict under (j, s
+    translated to start at 0)."""
     states = {}
 
     def ev(r):
         if len(r) == 1:
             return 1
-        cached = cache.get(r)
+        cached = _cache_get(cache, r)
         if cached is not None:
             return cached
         value = state(len(r), r)
-        cache.put(r, value)
+        _cache_put(cache, r, value)
         return value
 
     def state(j, s):
@@ -303,7 +322,7 @@ def third_closures(row, cache):
         n = len(r)
         if n == 1:
             return 1
-        cached = cache.get(r)
+        cached = _cache_get(cache, r)
         if cached is not None:
             return cached
         total = 0
@@ -321,7 +340,7 @@ def third_closures(row, cache):
 
             term = nested(0, ())
             total += term if len(chosen) % 2 == 0 else -term
-        cache.put(r, total)
+        _cache_put(cache, r, total)
         return total
 
     return ev(tuple(row))

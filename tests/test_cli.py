@@ -70,6 +70,20 @@ class TestAlphaCommand:
         proc = run_cli("alpha", "--row", "1,2,3", "--all-methods")
         assert proc.stdout.splitlines() == ["7"] * 5
 
+    def test_all_methods_rejects_options_it_does_not_read(self, tmp_path, capsys):
+        # --all-methods evaluates every applicable method without a cache file.
+        path = tmp_path / "cache.tsv"
+        for extra, named in [(["--cache-file", str(path)], "--cache-file"),
+                             (["--method", "third"], "--method"),
+                             (["--cache-file", str(path), "--method", "third"], "--method, --cache-file")]:
+            assert main(["alpha", "--row", "1,2,3", "--all-methods", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --all-methods does not read {named}\n"
+        assert not path.exists()
+        assert main(["alpha", "--row", "1,2,3", "--all-methods", "--method", "operator"]) == 0
+        assert capsys.readouterr().out == "7\n" * 5
+
     def test_cache_file_round_trip(self, tmp_path):
         path = tmp_path / "values.tsv"
         first = run_cli("alpha", "--row", "4,2,1,3", "--cache-file", str(path))

@@ -18,7 +18,6 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri import evaluate
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -171,9 +170,10 @@ walked_rows = st.tuples(st.integers(-6, 6), st.lists(st.integers(-3, 3), max_siz
 
 
 class TestMemoKernel:
-    """The memo kernels against the memoized closure recursions: the same
-    values, memo entries and misses, and the same row lookups as the
-    recursion they unroll (the chain states for the operator routes)."""
+    """The memo kernel on each of its three routes against the memoized
+    closure recursions: the same values, memo entries and misses, and the
+    same row lookups as the recursion it unrolls (the chain states for the
+    operator routes, the boxes for third)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(bound, min_size=1, max_size=5))
@@ -210,12 +210,10 @@ class TestMemoKernel:
         assert cache._store == reference._store
         assert cache.misses == reference.misses
 
-    @pytest.mark.parametrize("wide", [1, 10**9])
-    def test_both_key_builders(self, monkeypatch, wide):
-        # Every box of third on one side of the cutover, then every box on
-        # the other; the operator routes build no boxes.  Hits are pinned:
-        # third's equal its closure recursion's.
-        monkeypatch.setattr(evaluate, "_WIDE_BOX", wide)
+    def test_both_key_builders(self):
+        # The keys of the chain's leaf rows (operator routes) and of the rows
+        # of third's boxes.  Hits are pinned: third's equal its closure
+        # recursion's.
         for row, method, hits in [((3, -1, 2, 0, -2, 1), "operator", 1856), ((7, 0, 9, 2), "operator_alt", 838),
                                   ((2, 9, 1, 4, 4), "third", 5735), ((0, 30, 60), "operator", 900)]:
             cache, reference = EvalCache(), EvalCache()
@@ -223,6 +221,20 @@ class TestMemoKernel:
             assert counters(cache) == (len(reference), hits, reference.misses)
             if method == "third":
                 assert reference.hits == hits
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=4))
+    @example([[4, 2, 1, 3], [-3, -1, -2, -4]])
+    @example([[0, 0, 0, 0, 0]])
+    def test_reflection(self, rows):
+        # alpha(k) = alpha(-k_n, ..., -k_1), on one cache per route shared by
+        # every row and its reflection, and equal to the signed enumeration.
+        caches = {method: EvalCache() for method in ROUTES}
+        for row in rows:
+            reflected = [-v for v in reversed(row)]
+            value = alpha(row, "gmt")
+            for method, cache in caches.items():
+                assert alpha(row, method, cache) == alpha(reflected, method, cache) == value, method
 
     def test_kernels_do_not_recurse(self):
         limit = sys.getrecursionlimit()
@@ -391,6 +403,17 @@ class TestEvalCache:
             EvalCache().load(path)
         with pytest.raises(ValueError, match="unknown route"):
             EvalCache(route="nosuch")
+
+    def test_third_cache_file_bytes_are_pinned(self, tmp_path):
+        # The memo entries of third, and so its saved files, do not depend
+        # on how the kernel walks the boxes.
+        path = tmp_path / "cache.tsv"
+        cache = EvalCache()
+        assert alpha((2, 9, 1, 4, 4), "third", cache) == -2240
+        assert alpha((0, 14, 3, 8), "third", cache) == 17081
+        cache.save(path)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "08484e1c446e06a53317bd56cf76570e3bdf74d1fc15434433b4a7a027e8dc76")
 
     def test_alpha_names_an_empty_cache_by_its_route(self, tmp_path):
         path = tmp_path / "cache.tsv"
