@@ -210,12 +210,15 @@ class TestMemoKernel:
         assert cache._store == reference._store
         assert cache.misses == reference.misses
 
-    def test_both_key_builders(self):
+    @pytest.mark.parametrize("shift", [1, 10**9])
+    def test_both_key_builders(self, shift):
         # The keys of the chain's leaf rows (operator routes) and of the rows
-        # of third's boxes.  Hits are pinned: third's equal its closure
-        # recursion's.
+        # of third's boxes, on rows translated by a small and a large shift:
+        # keys are translation-normalized, so neither values nor counters
+        # move.  Hits are pinned: third's equal its closure recursion's.
         for row, method, hits in [((3, -1, 2, 0, -2, 1), "operator", 1856), ((7, 0, 9, 2), "operator_alt", 838),
                                   ((2, 9, 1, 4, 4), "third", 5735), ((0, 30, 60), "operator", 900)]:
+            row = tuple(v + shift for v in row)
             cache, reference = EvalCache(), EvalCache()
             assert alpha(row, method, cache) == ROUTES[method](row, reference)
             assert counters(cache) == (len(reference), hits, reference.misses)
