@@ -76,15 +76,32 @@ def cmd_alpha(default: Callable[[str], object], args) -> int:
             print(value)
         return 0 if len(set(values)) == 1 else 1
     cache = EvalCache(route=args.method)
-    existed = bool(args.cache_file) and os.path.exists(args.cache_file)
+    path = args.cache_file
+    if path:
+        # An unusable path is a usage error before any work, not a traceback after it.
+        if os.path.isdir(path):
+            raise ValueError(f"cache file {path}: is a directory")
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise ValueError(f"cache file {path}: {folder} is not a directory")
+    existed = bool(path) and os.path.exists(path)
     if existed:
-        cache.load(args.cache_file)
+        _cache_file_io(cache.load, path)
     loaded = len(cache)
     value = alpha(row, args.method, cache)
-    if args.cache_file and (not existed or len(cache) > loaded):
-        cache.save(args.cache_file)
+    if path and (not existed or len(cache) > loaded):
+        _cache_file_io(cache.save, path)
     print(value)
     return 0
+
+
+def _cache_file_io(action: Callable[[str], object], path: str) -> None:
+    """Run ``cache.load`` or ``cache.save`` on ``path``, reporting an
+    ``OSError`` as a usage error."""
+    try:
+        action(path)
+    except OSError as exc:
+        raise ValueError(f"cache file {path}: {exc.strerror or exc}") from None
 
 
 def cmd_enumerate(args) -> int:

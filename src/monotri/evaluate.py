@@ -29,6 +29,7 @@ import hashlib
 import os
 import re
 import tempfile
+from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
 from math import prod
@@ -82,7 +83,10 @@ def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
 #
 # A child at j == 1 is a leaf, the function at its s[1:].  A state's value
 # depends on nothing else, so each state is expanded once and its value kept
-# in a memo local to the walk, one dict per j.
+# in a memo, one dict per j.  With a function at the leaves that memo is local
+# to the walk; with an EvalCache the leaves are the cache's rows, so the memo
+# lives on the cache and later rows reuse the states that earlier rows
+# expanded.
 
 
 def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
@@ -93,7 +97,9 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     values at shorter rows, looked up in ``cache`` and on a miss computed the
     same way and stored there.  The states of a row then start at 0 like its
     key, and so do their children, which keep the first entry; that is exact
-    because a translated state has the translated children.  On the third
+    because a translated state has the translated children.  Their values
+    are kept in ``cache``'s state dicts, so every call on that cache shares
+    them; without a cache they are kept for this call only.  On the third
     route a missed row expands into the boxes of its inclusion-exclusion
     expansion instead (:func:`third_families`), each a group of row keys in
     product order, except that a box of rows of length 1 adds its signed size
@@ -110,7 +116,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     not looked up.
     """
     alt, third = route == "operator_alt", route == "third"
-    memos = [{} for _ in k]
+    memos = [{} for _ in k] if cache is None else cache._states
     store = {} if cache is None else cache._store
     lookups, misses, stack = 1, 0, []
     target = key = None
@@ -236,6 +242,11 @@ class EvalCache:
     translating the row so its first entry is 0.  Hit and miss counters are
     kept for diagnostics.
 
+    The cache also holds the values of the chain states that the operator
+    routes expand (see :func:`_chain`), one dict per j, keyed like rows.
+    They live as long as the cache, so later calls reuse them, and they are
+    never saved or loaded: a cache file holds rows only.
+
     ``route`` names the evaluation method whose values the cache holds.  A
     saved cache file starts with the header line
     ``monotri-cache v2 route=<method> normalize=1 sha256=<hex>``, where the
@@ -254,6 +265,7 @@ class EvalCache:
         self.hits = 0
         self.misses = 0
         self._store: dict[Row, int] = {}
+        self._states: defaultdict[int, dict[Row, int]] = defaultdict(dict)
 
     def _key(self, row: Row) -> Row:
         if row[0]:
@@ -389,8 +401,8 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     All methods agree; ``mt`` requires a strictly increasing row.  ``cache``
     memoizes sub-evaluations for the recursive methods and may be shared
     across calls of one method; results are identical with or without one.
-    An empty cache takes ``method`` as its route; a cache that holds values
-    of another route raises ``ValueError``.
+    An empty cache, one without rows or states, takes ``method`` as its
+    route; a cache that holds values of another route raises ``ValueError``.
     """
     row = _check_row(row)
     if method not in METHODS:
@@ -403,7 +415,7 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
         return signed_gmt_count(row)
     if cache is None:
         cache = EvalCache()
-    elif len(cache) and cache.route != method:
+    elif cache.route != method and (len(cache) or any(cache._states.values())):
         raise ValueError(f"the cache holds values of route {cache.route!r}, not {method!r}")
     cache.route = method
     if len(row) == 1:

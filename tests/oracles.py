@@ -12,6 +12,7 @@ implementations are checked against a second, dumb route.
 """
 
 from itertools import combinations, product
+from weakref import WeakKeyDictionary
 
 
 def box_triangles(bottom, lo=None, hi=None):
@@ -259,6 +260,10 @@ def memo_closures(row, cache, apply):
     return ev(tuple(row))
 
 
+# The state dicts of chain_closures, one per cache, for the cache's life.
+_STATES = WeakKeyDictionary()
+
+
 def chain_closures(row, cache, alt=False):
     """The polynomial at ``row`` by the chain states of the operator
     recursion (``alt`` for the alternative one), as memoized closures: a
@@ -266,8 +271,9 @@ def chain_closures(row, cache, alt=False):
     its last arguments fixed to s[j:], (len(r), r) is the polynomial at r and
     (1, s) the polynomial at s[1:].  Rows are memoized in ``cache`` through
     :func:`_cache_get` and :func:`_cache_put`, states in a dict under (j, s
-    translated to start at 0)."""
-    states = {}
+    translated to start at 0) that is kept per cache, so later calls on the
+    same cache reuse the states of earlier ones."""
+    states = _STATES.setdefault(cache, {})
 
     def ev(r):
         if len(r) == 1:

@@ -8,8 +8,9 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monotri.cli
 import monotri.rows
-from monotri import alpha, triangle_from_json, validate_gmt
+from monotri import EvalCache, alpha, triangle_from_json, validate_gmt
 from monotri.cli import main, parse_row, parse_window
 
 
@@ -135,6 +136,37 @@ class TestAlphaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "checksum" in captured.err
+
+
+    def test_unusable_cache_file_path_exits_with_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The path is checked before the row is evaluated.
+        def refuse(*args):
+            raise AssertionError("evaluated despite an unusable cache file")
+
+        monkeypatch.setattr(monotri.cli, "alpha", refuse)
+        missing = tmp_path / "nonexistent" / "F"
+        for path, reason in [(missing, f"{missing.parent} is not a directory"), (tmp_path, "is a directory")]:
+            assert main(["alpha", "--row", "1,2,3", "--cache-file", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cache file {path}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_file_os_error_exits_with_usage_error(self, tmp_path, capsys, monkeypatch):
+        def deny(self, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        path = tmp_path / "cache.tsv"
+        assert main(["alpha", "--row", "1,2,3", "--cache-file", str(path)]) == 0
+        assert capsys.readouterr().out == "7\n"
+        # load on a file that exists; save on one that gains entries
+        for name, row in (("load", "1,2,3"), ("save", "1,2,3,4")):
+            with monkeypatch.context() as patch:
+                patch.setattr(EvalCache, name, deny)
+                assert main(["alpha", "--row", row, "--cache-file", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cache file {path}: Permission denied\n"
 
 
 class TestEnumerateCommand:

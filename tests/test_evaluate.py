@@ -199,6 +199,40 @@ class TestMemoKernel:
         assert cache._store == reference._store == chain._store
 
     @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["operator", "operator_alt"]),
+           st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=6), min_size=1, max_size=6))
+    @example("operator", [[0, 1, 2, 3], [5, 6, 7, 8], [0, 1, 2, 3, 4]])
+    @example("operator_alt", [[2, 1, 0, 3, 3, -4], [3, 2, 1, 4, 4], [1, 0, 3, 3, -4]])
+    def test_shared_states_match_fresh_caches(self, method, rows):
+        # The chain states live on the cache: every value on one shared cache
+        # is the value on a fresh cache, and the rows stored and missed are
+        # those of a cache whose states are cleared after every call.
+        shared, cleared = EvalCache(), EvalCache()
+        for row in rows:
+            assert alpha(row, method, shared) == alpha(row, method, cleared) == alpha(row, method)
+            cleared._states.clear()
+        assert shared._store == cleared._store
+        assert shared.misses == cleared.misses
+
+    @pytest.mark.parametrize("method, counts, cleared_hits", [
+        ("operator", (650, 1624, 650), 11133),
+        ("operator_alt", (641, 1587, 641), 5624),
+    ])
+    def test_grid_hits_are_pinned(self, method, counts, cleared_hits):
+        # A grid of small rows on one cache, as verify runs its grids: later
+        # rows reuse the states of earlier ones, so they look up fewer rows
+        # than with the states cleared after every call.
+        rows = list(product(range(-2, 3), repeat=4)) + list(product(range(3), repeat=5))
+        shared, cleared = EvalCache(), EvalCache()
+        values = [alpha(row, method, shared) for row in rows]
+        for row in rows:
+            alpha(row, method, cleared)
+            cleared._states.clear()
+        assert sum(v * v for v in values) == 260190
+        assert counters(shared) == counts
+        assert counters(cleared) == (counts[0], cleared_hits, counts[2])
+
+    @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["operator", "operator_alt"]), walked_rows)
     @example("operator", [5])
     @example("operator", [6, 3, 0, -3, -6, -3])
@@ -439,6 +473,34 @@ class TestEvalCache:
         # gmt and mt keep no memo and leave the cache alone
         assert alpha((1, 2, 3, 4), "gmt", cache) == alpha((1, 2, 3, 4), "mt", cache) == 42
         assert cache.route == "operator"
+
+    def test_states_keep_a_cache_on_its_route(self):
+        cache = EvalCache()
+        assert alpha((4, 2, 1, 3), "operator", cache) == -2
+        with pytest.raises(ValueError, match="holds values of route 'operator', not 'operator_alt'"):
+            alpha((4, 2, 1, 3), "operator_alt", cache)
+        # States alone make a cache non-empty too.
+        cache._store.clear()
+        assert any(cache._states.values())
+        with pytest.raises(ValueError, match="holds values of route 'operator', not 'operator_alt'"):
+            alpha((4, 2, 1, 3), "operator_alt", cache)
+
+    def test_load_merges_rows_and_no_states(self, tmp_path):
+        # States are neither saved nor loaded: a cache with states saves the
+        # bytes of one that holds the same rows alone.
+        path, bare = tmp_path / "cache.tsv", tmp_path / "bare.tsv"
+        cache = EvalCache()
+        assert alpha((2, 9, 1, 4, 4), "operator", cache) == -2240
+        assert any(cache._states.values())
+        cache.save(path)
+        fresh = EvalCache()
+        assert fresh.load(path) == len(cache)
+        assert fresh._store == cache._store
+        assert not any(fresh._states.values())
+        fresh.save(bare)
+        assert bare.read_bytes() == path.read_bytes()
+        cache.load(bare)
+        assert len(cache) == len(fresh)
 
     def test_failed_load_merges_nothing(self, tmp_path):
         path = tmp_path / "cache.tsv"
