@@ -40,7 +40,7 @@ from .rows import (
     triangle_totals,
 )
 # sc_statistic is unused here; bench/tracing.py looks it up on this module to wrap it.
-from .triangles import sc_statistic, tn_to_json, triangle_to_json  # noqa: F401
+from .triangles import RowTexts, sc_statistic, tn_to_json, triangle_to_json  # noqa: F401
 
 
 # argparse passes [] instead of a string for an option value of "--", such as
@@ -118,8 +118,10 @@ def cmd_enumerate(args) -> int:
         return 0
     factory = {"mt": enumerate_mt, "dmt": enumerate_dmt, "gmt": enumerate_gmt, "tn": enumerate_tn}[args.klass]
     to_json = tn_to_json if args.klass == "tn" else triangle_to_json
+    # One memo of row texts for this command: each distinct row is encoded once.
+    texts = RowTexts()
     for obj in factory(row, limits):
-        print(to_json(obj))
+        print(to_json(obj, texts))
     return 0
 
 

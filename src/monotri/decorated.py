@@ -34,32 +34,38 @@ class InternalConsistencyError(RuntimeError):
     """The involution produced an object outside the decorated class."""
 
 
-def _edges(row, sign: int) -> Iterator[tuple[tuple[int, ...], tuple[Position, ...], int]]:
+def _edges(row) -> list[tuple[tuple[int, ...], tuple[Position, ...], int]]:
     """(row above, the specials it gives ``row``, sign) of each row above
-    ``row``, whose sign is ``sign``: the rows of each inclusion-exclusion box
-    in product order, times the box sign (-1)**(specials + inversions)."""
-    for chosen, ranges, box_sign in third_families(row):
+    ``row``: the rows of each inclusion-exclusion box in product order, with
+    the box sign (-1)**(specials + inversions)."""
+    out = []
+    for chosen, ranges, sign in third_families(row):
         special = tuple((len(row), j) for j in chosen)
-        box_sign *= sign
-        for above in product(*ranges):
-            yield above, special, box_sign
+        out.extend((above, special, sign) for above in product(*ranges))
+    return out
 
 
 def _tn_walk(bottom, limits: EnumerationLimits):
     """Depth-first walk over the decorated triangles above ``bottom``: ``path``
-    holds the edges (row, specials, sign) taken from the bottom up, ``pending``
-    the edges still to try above each row.  Yields ``path`` at each object; the
-    walk goes on to change it.  Each row taken charges the row budget, and each
-    object the triangle budget before it is yielded."""
+    holds the edges (row, specials, sign of the path up to it) taken from the
+    bottom up, ``pending`` an iterator over the edges still to try above each
+    row with that row's sign.  The edges above a row are expanded on its first
+    visit and kept for the rest of the walk.  Yields ``path`` at each object;
+    the walk goes on to change it.  Each row taken charges the row budget, and
+    each object the triangle budget before it is yielded."""
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     rows_left = limits.max_rows_generated
     triangles_left = limits.max_triangles
+    expanded: dict[tuple[int, ...], list] = {}
     path, pending = [(bottom, (), 1)], []
     while True:
         row, _, sign = path[-1]
         if len(row) > 1:
-            pending.append(_edges(row, sign))
+            edges = expanded.get(row)
+            if edges is None:
+                edges = expanded[row] = _edges(row)
+            pending.append((iter(edges), sign))
         else:
             if triangles_left == 0:
                 raise BudgetExceededError("triangle budget exhausted")
@@ -67,12 +73,14 @@ def _tn_walk(bottom, limits: EnumerationLimits):
             yield path
             path.pop()
         while pending:
-            edge = next(pending[-1], None)
+            edges, sign = pending[-1]
+            edge = next(edges, None)
             if edge is not None:
                 rows_left -= 1
                 if rows_left < 0:
                     raise BudgetExceededError("row generation budget exhausted")
-                path.append(edge)
+                above, special, edge_sign = edge
+                path.append((above, special, sign * edge_sign))
                 break
             pending.pop()
             path.pop()

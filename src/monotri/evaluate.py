@@ -387,9 +387,13 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
 
 def _box_keys(ranges: tuple[range, ...]) -> Iterator[Row]:
     """Memo keys of the rows of one box, in product order, translated to
-    start at 0: one product of shifted ranges per value of the first
-    position, built in C."""
+    start at 0, built in C: one zip of ranges when every position after the
+    first is pinned, as _chain builds leaf keys, and otherwise one product
+    of shifted ranges per value of the first position."""
     first, rest = ranges[0], ranges[1:]
+    if all(len(r) == 1 for r in rest):
+        a, b = first.start, first.stop
+        return zip(repeat(0, b - a), *[range(r.start - a, r.start - b, -1) for r in rest])
     return chain.from_iterable(
         product((0,), *[range(r.start - v, r.stop - v) for r in rest])
         for v in first)

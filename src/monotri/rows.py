@@ -67,14 +67,26 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     larger element of a strict descent requires an equal entry to its left,
     and a value equal to the smaller element of a strict descent forces the
     next entry to equal it (or is inadmissible at the right edge).  A weakly
-    increasing triple below forces l[j-1] < l[j].
+    increasing triple below forces l[j-1] < l[j].  Above a row (a, b) of two
+    entries these conditions leave the apexes a..b when a <= b and the values
+    strictly between b and a otherwise, which are returned in closed form.
     """
     k = tuple(lower)
     m = len(k)
     if m < 2:
         raise ValueError("the lower row needs at least two entries")
+    if m == 2:
+        a, b = k
+        return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
+    return _gmt_fill(k)
+
+
+def _gmt_fill(k: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rows admissible above ``k``, of two entries or more, in a
+    generalized monotone triangle, filled left to right as
+    :func:`gmt_admissible_rows` describes."""
     out: list[tuple[int, ...]] = []
-    last = m - 2
+    last = len(k) - 2
 
     def fill(j: int, prefix: tuple[int, ...], forced: int | None):
         if j > last:
@@ -123,6 +135,9 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
 
     Entries satisfy lower[j] >= l[j] >= lower[j+1], no value occurs more than
     twice in l, and no value occurs exactly once in both l and ``lower``.
+    Above a row (a, b) of two entries these conditions leave the apex a
+    when a == b and the values strictly between b and a otherwise, which are
+    returned in closed form.
     """
     k = tuple(lower)
     m = len(k)
@@ -130,6 +145,17 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
         raise ValueError("the lower row needs at least two entries")
     if any(k[j] < k[j + 1] for j in range(m - 1)):
         raise ValueError("the lower row must be weakly decreasing")
+    if m == 2:
+        a, b = k
+        return [(a,)] if a == b else [(v,) for v in range(b + 1, a)]
+    return _dmt_fill(k)
+
+
+def _dmt_fill(k: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rows admissible above the weakly decreasing row ``k``, of two
+    entries or more, in a decreasing monotone triangle, filled left to right
+    with the conditions of :func:`dmt_admissible_rows`."""
+    m = len(k)
     out: list[tuple[int, ...]] = []
 
     def fill(j: int, prefix: tuple[int, ...]):

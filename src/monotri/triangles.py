@@ -38,7 +38,9 @@ class Triangle:
             if len(row) != i:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {i}")
             for v in row:
-                if not isinstance(v, int):
+                # Other int subclasses are integers, but bool's True is no
+                # integer entry; the first test passes plain ints at once.
+                if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                     raise TypeError(f"non-integer entry {v!r} in row {i}")
         self.rows = rows
 
@@ -309,15 +311,29 @@ def inferred_special_positions(t: Triangle) -> frozenset[Position]:
 #
 # A triangle is a JSON array of arrays, top row first; a decorated triangle is
 # an object with "rows" and a sorted "special" list.  Output is canonical
-# (compact separators, sorted keys) so serialization round-trips bit-exactly.
+# (compact separators, keys in sorted order) so serialization round-trips
+# bit-exactly.  Both are joined from the texts of their rows, which a stream
+# keeps in one RowTexts memo across its lines.
 
 
 # rows are tuples of ints, which cannot nest into a cycle
 _COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
-def triangle_to_json(t: Triangle) -> str:
-    return _COMPACT.encode(t.rows)
+class RowTexts(dict):
+    """Memo of the compact JSON text of tuples of ints (rows and special
+    positions), each encoded on its first lookup.  Tuples that compare equal
+    get equal texts because entries are never bools, which Triangle rejects:
+    (1,) == (True,), but they encode as [1] and [true]."""
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = _COMPACT.encode(row)
+        return text
+
+
+def triangle_to_json(t: Triangle, texts: RowTexts | None = None) -> str:
+    get = (RowTexts() if texts is None else texts).__getitem__
+    return "[" + ",".join(map(get, t.rows)) + "]"
 
 
 def triangle_from_json(text: str) -> Triangle:
@@ -327,12 +343,10 @@ def triangle_from_json(text: str) -> Triangle:
     return Triangle(data)
 
 
-def tn_to_json(o: TnObject) -> str:
-    payload = {
-        "rows": [list(r) for r in o.triangle.rows],
-        "special": [list(p) for p in sorted(o.special)],
-    }
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+def tn_to_json(o: TnObject, texts: RowTexts | None = None) -> str:
+    get = (RowTexts() if texts is None else texts).__getitem__
+    return ('{"rows":[' + ",".join(map(get, o.triangle.rows))
+            + '],"special":[' + ",".join(map(get, sorted(o.special))) + "]}")
 
 
 def tn_from_json(text: str) -> TnObject:

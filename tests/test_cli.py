@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 
 import monotri.cli
 import monotri.rows
-from monotri import EvalCache, alpha, triangle_from_json, validate_gmt
+from monotri import (
+    BudgetExceededError,
+    EnumerationLimits,
+    EvalCache,
+    alpha,
+    enumerate_dmt,
+    enumerate_gmt,
+    enumerate_mt,
+    enumerate_tn,
+    triangle_from_json,
+    validate_gmt,
+)
 from monotri.cli import main, parse_row, parse_window
 
 
@@ -245,6 +256,72 @@ class TestEnumerateCommand:
         assert capsys.readouterr().out == "16939\n"
         assert main(["enumerate", "dmt", "--row", "2,2,2", "--count"]) == 0
         assert capsys.readouterr().out == "0\n"
+
+
+def canonical_line(obj):
+    """A streamed object in the canonical encoding of lists: compact
+    separators and sorted keys."""
+    if hasattr(obj, "special"):
+        obj = {"rows": [list(r) for r in obj.triangle.rows], "special": [list(p) for p in sorted(obj.special)]}
+    else:
+        obj = [list(r) for r in obj.rows]
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def expected_stream(klass, row, limits):
+    """(canonical lines, exit code) of ``enumerate <klass>``: the lines of the
+    objects the stream yields before it ends or exceeds a budget."""
+    stream = {"gmt": enumerate_gmt, "mt": enumerate_mt, "dmt": enumerate_dmt, "tn": enumerate_tn}[klass]
+    lines = []
+    try:
+        for obj in stream(row, limits):
+            lines.append(canonical_line(obj))
+    except BudgetExceededError:
+        return lines, 3
+    return lines, 0
+
+
+# Rows with negative entries, ties, descents and a single entry.
+STREAM_ROWS = {
+    "gmt": [(4, 2, 1, 3), (-3, 0, -1, 2, -2), (2, 2, 1, 3, 3), (3, 1, 4, 2, 5), (-1, -1, -1), (7,), (-5,)],
+    "mt": [(-2, 0, 1, 4), (1, 3, 4, 6, 7), (-4, -3), (5,)],
+    "dmt": [(3, 1, 1, -2), (9, 7, 5, 3, 1, 0, 0), (0, 0), (-1,)],
+    "tn": [(4, 2, 1, 3), (-2, -2, -1, 0), (3, 1, 4, 2, 5), (2, 2, 1, 3, 3), (6,)],
+}
+
+
+class TestStreamBytes:
+    """Every streamed line is the canonical encoding of its object, also the
+    lines printed before a budget stops the stream with exit 3."""
+
+    def check(self, capsys, klass, row, max_triangles=1_000_000, max_rows=10_000_000):
+        limits = EnumerationLimits(max_rows_generated=max_rows, max_triangles=max_triangles)
+        lines, code = expected_stream(klass, row, limits)
+        argv = ["enumerate", klass, "--row", ",".join(map(str, row)),
+                "--max-triangles", str(max_triangles), "--max-rows", str(max_rows)]
+        assert main(argv) == code
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+        return len(lines), code
+
+    def test_full_streams(self, capsys):
+        for klass, rows in STREAM_ROWS.items():
+            for row in rows:
+                assert self.check(capsys, klass, row)[1] == 0, (klass, row)
+
+    def test_streams_cut_by_a_budget(self, capsys):
+        stopped = []
+        for klass, rows in STREAM_ROWS.items():
+            for row in rows:
+                for budget in ({"max_triangles": 3}, {"max_rows": 5}, {"max_triangles": 40, "max_rows": 60}):
+                    printed, code = self.check(capsys, klass, row, **budget)
+                    if code == 3:
+                        stopped.append(printed)
+        # the budgets cut streams both before and after their first line
+        assert 0 in stopped and max(stopped) >= 3
+
+    def test_one_memo_serves_both_encodings_of_a_row(self, capsys):
+        # (4, 2) is both a row and a special position in this tn stream.
+        assert self.check(capsys, "tn", (3, 4, 1, 1)) == (9, 0)
 
 
 class TestVerifyCommand:

@@ -18,6 +18,7 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
+from monotri.evaluate import _box_keys
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -258,6 +259,22 @@ class TestMemoKernel:
             assert counters(cache) == (len(reference), hits, reference.misses)
             if method == "third":
                 assert reference.hits == hits
+
+    def test_box_keys_in_product_order(self):
+        # Boxes whose positions after the first are pinned take the zip of
+        # ranges; the others a product per first value.  Same keys either way.
+        for ranges in [(range(-3, 4), range(2, 3)), (range(5, 6), range(0, 1), range(-7, -6)),
+                       (range(0, 1000), range(9, 10), range(-2, -1)), (range(1, 4), range(0, 2), range(5, 6)),
+                       (range(2, 3), range(-1, 3))]:
+            expected = [tuple(v - row[0] for v in row) for row in product(*ranges)]
+            assert list(_box_keys(ranges)) == expected, ranges
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    def test_reflection_on_the_operator_route(self, row):
+        # alpha(k) = alpha(-k_n, ..., -k_1), each side on its own cache.
+        reflected = [-v for v in reversed(row)]
+        assert alpha(row, "operator", EvalCache()) == alpha(reflected, "operator", EvalCache())
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=5), min_size=1, max_size=4))

@@ -1,4 +1,5 @@
 import json
+from enum import IntEnum
 from itertools import product
 
 import pytest
@@ -21,6 +22,14 @@ from monotri import (
     validate_tn,
 )
 from oracles import box_triangles, dmt_ok, gmt_ok, mt_ok, sc_brute
+
+
+class Level(IntEnum):
+    """An int subclass other than bool."""
+
+    ZERO = 0
+    ONE = 1
+
 
 FIG_MT = Triangle([(4,), (4, 5), (3, 5, 7), (2, 5, 6, 8), (2, 4, 5, 8, 9)])
 
@@ -56,9 +65,19 @@ class TestTriangleType:
             Triangle([("x",), (2, 1.0)])
 
     def test_int_subclasses_are_accepted(self):
-        t = Triangle([(True,), (False, 2)])
-        assert t.rows == ((True,), (False, 2))
-        assert triangle_to_json(t) == "[[true],[false,2]]"
+        t = Triangle([(Level.ONE,), (Level.ZERO, 2)])
+        assert t.rows == ((1,), (0, 2))
+        assert triangle_to_json(t) == "[[1],[0,2]]"
+
+    def test_bool_entries_are_rejected(self):
+        with pytest.raises(TypeError, match=r"^non-integer entry True in row 1$"):
+            Triangle([(True,), (False, True)])
+        with pytest.raises(TypeError, match=r"^non-integer entry False in row 2$"):
+            Triangle([(1,), (False, 2)])
+        with pytest.raises(TypeError, match=r"^non-integer entry True in row 1$"):
+            triangle_from_json("[[true],[false,true]]")
+        with pytest.raises(TypeError):
+            TnObject([(1,), (True, 2)])
 
     def test_rows_become_tuples(self):
         t = Triangle(iter([[1], range(2)]))
