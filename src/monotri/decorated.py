@@ -34,38 +34,38 @@ class InternalConsistencyError(RuntimeError):
     """The involution produced an object outside the decorated class."""
 
 
-def _edges(row) -> list[tuple[tuple[int, ...], tuple[Position, ...], int]]:
-    """(row above, the specials it gives ``row``, sign) of each row above
-    ``row``: the rows of each inclusion-exclusion box in product order, with
-    the box sign (-1)**(specials + inversions)."""
-    out = []
-    for chosen, ranges, sign in third_families(row):
-        special = tuple((len(row), j) for j in chosen)
-        out.extend((above, special, sign) for above in product(*ranges))
-    return out
+def _boxes(row) -> list[tuple[tuple[Position, ...], tuple[range, ...], int]]:
+    """(specials it gives ``row``, ranges, sign) of each inclusion-exclusion
+    box of rows above ``row``, with the box sign (-1)**(specials + inversions)."""
+    return [(tuple((len(row), j) for j in chosen), ranges, sign)
+            for chosen, ranges, sign in third_families(row)]
 
 
 def _tn_walk(bottom, limits: EnumerationLimits):
     """Depth-first walk over the decorated triangles above ``bottom``: ``path``
     holds the edges (row, specials, sign of the path up to it) taken from the
     bottom up, ``pending`` an iterator over the edges still to try above each
-    row with that row's sign.  The edges above a row are expanded on its first
-    visit and kept for the rest of the walk.  Yields ``path`` at each object;
-    the walk goes on to change it.  Each row taken charges the row budget, and
-    each object the triangle budget before it is yielded."""
+    row with that row's sign.  The boxes above a row are found on its first
+    visit and kept for the rest of the walk; their rows are expanded lazily
+    on each visit, so a budget stops the walk before a wide box is built.
+    Yields ``path`` at each object; the walk goes on to change it.  Each row
+    taken charges the row budget, and each object the triangle budget before
+    it is yielded."""
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     rows_left = limits.max_rows_generated
     triangles_left = limits.max_triangles
-    expanded: dict[tuple[int, ...], list] = {}
+    boxes: dict[tuple[int, ...], list] = {}
     path, pending = [(bottom, (), 1)], []
     while True:
         row, _, sign = path[-1]
         if len(row) > 1:
-            edges = expanded.get(row)
-            if edges is None:
-                edges = expanded[row] = _edges(row)
-            pending.append((iter(edges), sign))
+            row_boxes = boxes.get(row)
+            if row_boxes is None:
+                row_boxes = boxes[row] = _boxes(row)
+            pending.append((((above, special, box_sign)
+                             for special, ranges, box_sign in row_boxes
+                             for above in product(*ranges)), sign))
         else:
             if triangles_left == 0:
                 raise BudgetExceededError("triangle budget exhausted")

@@ -65,6 +65,13 @@ def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
     return sign * sum(f(v) for v in values)
 
 
+def _pinned_keys(values: range, tail) -> Iterator[Row]:
+    """Memo keys of the rows (x,) + tail, x over ``values``, translated to
+    start at 0, built in C."""
+    a, b = values.start, values.stop
+    return zip(repeat(0, b - a), *[range(v - a, v - b, -1) for v in tail])
+
+
 # The operator chain.  The operator over bounds k, applied to a function of
 # len(k) - 1 arguments, unrolls into chain states.  A state (j, s) is a tuple
 # s as long as k whose first j entries are bounds still to expand and whose
@@ -153,11 +160,8 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     elif not tail:
                         total += sign * len(values)
                     elif values:
-                        # Row keys (x,) + tail translated to start at 0, built in C.
-                        a, b = values.start, values.stop
-                        lookups += b - a
-                        rows = zip(repeat(0, b - a), *[range(v - a, v - b, -1) for v in tail])
-                        groups.append((sign, store, rows, len(tail) + 1))
+                        lookups += len(values)
+                        groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
                     if not alt or j > 2:
                         # One child, looked up at once: only a miss makes it a group.
                         if alt:
@@ -387,13 +391,12 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
 
 def _box_keys(ranges: tuple[range, ...]) -> Iterator[Row]:
     """Memo keys of the rows of one box, in product order, translated to
-    start at 0, built in C: one zip of ranges when every position after the
-    first is pinned, as _chain builds leaf keys, and otherwise one product
-    of shifted ranges per value of the first position."""
+    start at 0, built in C: the pinned keys when every position after the
+    first is pinned, and otherwise one product of shifted ranges per value
+    of the first position."""
     first, rest = ranges[0], ranges[1:]
     if all(len(r) == 1 for r in rest):
-        a, b = first.start, first.stop
-        return zip(repeat(0, b - a), *[range(r.start - a, r.start - b, -1) for r in rest])
+        return _pinned_keys(first, [r.start for r in rest])
     return chain.from_iterable(
         product((0,), *[range(r.start - v, r.stop - v) for r in rest])
         for v in first)

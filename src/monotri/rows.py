@@ -78,15 +78,8 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     if m == 2:
         a, b = k
         return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
-    return _gmt_fill(k)
-
-
-def _gmt_fill(k: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The rows admissible above ``k``, of two entries or more, in a
-    generalized monotone triangle, filled left to right as
-    :func:`gmt_admissible_rows` describes."""
     out: list[tuple[int, ...]] = []
-    last = len(k) - 2
+    last = m - 2
 
     def fill(j: int, prefix: tuple[int, ...], forced: int | None):
         if j > last:
@@ -148,14 +141,6 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     if m == 2:
         a, b = k
         return [(a,)] if a == b else [(v,) for v in range(b + 1, a)]
-    return _dmt_fill(k)
-
-
-def _dmt_fill(k: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The rows admissible above the weakly decreasing row ``k``, of two
-    entries or more, in a decreasing monotone triangle, filled left to right
-    with the conditions of :func:`dmt_admissible_rows`."""
-    m = len(k)
     out: list[tuple[int, ...]] = []
 
     def fill(j: int, prefix: tuple[int, ...]):

@@ -4,11 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monotri.cli
+import monotri.decorated
 import monotri.rows
 from monotri import (
     BudgetExceededError,
@@ -237,6 +239,24 @@ class TestEnumerateCommand:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err == f"error: {message} budget exhausted\n"
+
+    def test_budgets_stop_a_wide_tn_row_at_once(self, capsys, monkeypatch):
+        # The boxes above (0, 3000, 6000) hold about 9M rows; the walk builds
+        # only the six rows it takes before the row budget stops it.
+        taken = []
+
+        def counted(*ranges):
+            for above in product(*ranges):
+                taken.append(above)
+                assert len(taken) <= 6, "the walk built rows it did not take"
+                yield above
+
+        monkeypatch.setattr(monotri.decorated, "product", counted)
+        for total in ((), ("--count",), ("--signed",)):
+            taken.clear()
+            assert main(["enumerate", "tn", "--row", "0,3000,6000", "--max-rows", "5", *total]) == 3
+            assert capsys.readouterr().err == "error: row generation budget exhausted\n"
+            assert len(taken) == 6
 
     def test_class_row_mismatch_is_usage_error(self):
         assert run_cli("enumerate", "mt", "--row", "2,1").returncode == 2
