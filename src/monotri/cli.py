@@ -186,6 +186,7 @@ def _check_verify_options(args, default: Callable[[str], object]) -> None:
 def cmd_verify(default: Callable[[str], object], args) -> int:
     _check_verify_options(args, default)
     window = parse_window(args.window)
+    row = parse_row(args.row) if args.row is not None else None
     reports: list[VerificationReport] = []
     started = time.perf_counter()
 
@@ -213,14 +214,14 @@ def cmd_verify(default: Callable[[str], object], args) -> int:
         reports.append(grid("shift-antisym", n=3, samples=40))
         reports.append(grid("lemma1", n=3, samples=25, functions=4))
         reports.append(grid("operator-alt", n=3, samples=25, functions=4))
-        reports.append(verify_reduction(parse_row(args.row) if args.row else (4, 2, 1, 3)))
+        reports.append(verify_reduction(row if row is not None else (4, 2, 1, 3)))
         reports.extend(run_conjecture_suite(ConjectureSpec(
             method=args.method, time_budget_secs=args.time_budget_secs)))
     elif name in GRID_CHECKS:
         reports.append(grid(name))
     elif name == "reduction":
-        if args.row:
-            reports.append(verify_reduction(parse_row(args.row)))
+        if row is not None:
+            reports.append(verify_reduction(row))
         else:
             n = args.n if args.n is not None else 3
             for row in grid_rows(n, window, args.samples, args.seed, args.exhaustive):

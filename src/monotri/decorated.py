@@ -96,6 +96,7 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
     smallest size first); specials pin both parents to their own value, and
     the remaining positions of the row above range over the interval between
     their lower neighbours (strictly between, under a strict descent).
+    ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``.
     """
     for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
         rows, specials, _ = zip(*reversed(path))
@@ -105,7 +106,8 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
 def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int]:
     """(number, sum of the signs) of the decorated triangles with the given
     bottom row: the length of ``enumerate_tn(bottom, limits)`` and the sum of
-    its objects' signs, or its budget error, without building an object."""
+    its objects' signs, or its budget error, without building an object.
+    ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``."""
     count = signed = 0
     for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
         count += 1
@@ -114,7 +116,8 @@ def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int
 
 
 def signed_tn_count(bottom) -> int:
-    """Sum of (-1)**s over all decorated triangles with the given bottom row."""
+    """Sum of (-1)**s over all decorated triangles with the given bottom row,
+    by :func:`tn_totals` under the default budgets, ``DEFAULT_LIMITS``."""
     return tn_totals(bottom)[1]
 
 
@@ -161,7 +164,8 @@ def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> Verific
     of opposite sign inside the enumerated set, that fixed points carry
     exactly the specials inferred from equal parents and map bijectively onto
     the generalized monotone triangles with matching sign statistics, and
-    that both signed totals agree.
+    that both signed totals agree.  ``limits=None`` means the default
+    budgets, ``DEFAULT_LIMITS``, for both streams.
     """
     bottom = tuple(bottom)
     started = time.perf_counter()

@@ -339,7 +339,8 @@ def _check_row(row) -> Row:
     if not row:
         raise ValueError("the argument row must not be empty")
     for v in row:
-        if not isinstance(v, int):
+        # bool is an int subclass, but True is no integer argument
+        if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"non-integer argument {v!r}")
     if len(row) > MAX_EVAL_LENGTH:
         raise BudgetExceededError(f"row length {len(row)} exceeds the evaluation bound {MAX_EVAL_LENGTH}")

@@ -6,6 +6,12 @@ admissible rows that may sit directly above a given row, then recurse.  All
 enumeration is depth-first in lexicographic order of the successive rows,
 which makes every stream deterministic.  :func:`triangle_totals` walks the
 same tree in the same order without building triangles.
+
+The decreasing class (dmt) has no row fill of its own: on a weakly decreasing
+bottom row the generalized monotone triangles are exactly the decreasing
+ones, so it walks :func:`gmt_admissible_rows` and only decides which bottom
+rows it accepts.  The monotone class (mt) keeps its own interlacing filter,
+so that comparing it with the generalized walk checks more than the signs.
 """
 
 from __future__ import annotations
@@ -124,45 +130,24 @@ def mt_admissible_rows(lower) -> list[tuple[int, ...]]:
 
 
 def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
-    """Rows admissible above ``lower`` in a decreasing monotone triangle.
+    """Rows admissible above the weakly decreasing row ``lower`` in a
+    decreasing monotone triangle, in lexicographic order.
 
-    Entries satisfy lower[j] >= l[j] >= lower[j+1], no value occurs more than
-    twice in l, and no value occurs exactly once in both l and ``lower``.
-    Above a row (a, b) of two entries these conditions leave the apex a
-    when a == b and the values strictly between b and a otherwise, which are
-    returned in closed form.
+    On a weakly decreasing bottom row the generalized monotone triangles are
+    exactly the decreasing ones, so these are the rows of
+    :func:`gmt_admissible_rows`: lower[j] >= l[j] >= lower[j+1], no value more
+    than twice in l, and no value exactly once in both l and ``lower``.  A
+    row that holds a value three times has none.
     """
     k = tuple(lower)
-    m = len(k)
-    if m < 2:
-        raise ValueError("the lower row needs at least two entries")
-    if any(k[j] < k[j + 1] for j in range(m - 1)):
+    if any(k[j] < k[j + 1] for j in range(len(k) - 1)):
         raise ValueError("the lower row must be weakly decreasing")
-    if m == 2:
-        a, b = k
-        return [(a,)] if a == b else [(v,) for v in range(b + 1, a)]
-    out: list[tuple[int, ...]] = []
-
-    def fill(j: int, prefix: tuple[int, ...]):
-        if j == m - 1:
-            for v in set(prefix):
-                if prefix.count(v) == 1 and k.count(v) == 1:
-                    return
-            out.append(prefix)
-            return
-        for v in range(k[j + 1], k[j] + 1):
-            if prefix.count(v) >= 2:
-                continue
-            fill(j + 1, prefix + (v,))
-
-    fill(0, ())
-    return out
+    return gmt_admissible_rows(k)
 
 
-def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable | None]:
+def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable]:
     """Check ``bottom`` against the triangle class and return it as a tuple
-    with the class's expansion (row -> admissible rows above it).  The
-    expansion is None when no triangle of the class has this bottom row."""
+    with the class's expansion (row -> admissible rows above it)."""
     bottom = tuple(bottom)
     if klass == "gmt":
         return bottom, gmt_admissible_rows
@@ -173,10 +158,7 @@ def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable | No
     if klass == "dmt":
         if any(bottom[j] < bottom[j + 1] for j in range(len(bottom) - 1)):
             raise ValueError("the bottom row must be weakly decreasing")
-        # the at-most-twice condition applies to the bottom row itself
-        if any(bottom.count(v) > 2 for v in set(bottom)):
-            return bottom, None
-        return bottom, dmt_admissible_rows
+        return bottom, gmt_admissible_rows
     raise ValueError(f"unknown triangle class {klass!r}")
 
 
@@ -225,22 +207,23 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
 
 def enumerate_gmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All generalized monotone triangles with the given bottom row,
-    depth-first in lexicographic order of the successive rows."""
+    depth-first in lexicographic order of the successive rows.
+    ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("gmt", bottom)
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_mt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
-    """All monotone triangles with the given strictly increasing bottom row."""
+    """All monotone triangles with the given strictly increasing bottom row.
+    ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("mt", bottom)
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
-    """All decreasing monotone triangles with the given weakly decreasing bottom row."""
+    """All decreasing monotone triangles with the given weakly decreasing
+    bottom row.  ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("dmt", bottom)
-    if expand is None:
-        return iter(())
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
@@ -257,9 +240,9 @@ def _unit_signs(lower, rows) -> list[int]:
 
 def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
     """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
-    ("gmt", "mt" or "dmt") with the given bottom row, without building one;
-    no budget applies when ``limits`` is None.  See :func:`_totals`; for "mt"
-    every edge sign is +1 and none is computed."""
+    ("gmt", "mt" or "dmt") with the given bottom row, without building one.
+    ``limits=None`` means no budget, not the default budgets.  See
+    :func:`_totals`; for "mt" every edge sign is +1 and none is computed."""
     return _totals(klass, bottom, limits, _unit_signs if klass == "mt" else _edge_signs)
 
 
@@ -279,8 +262,6 @@ def _totals(klass: str, bottom, limits: EnumerationLimits | None,
     on the edge signs.
     """
     bottom, expand = _class_expansion(klass, bottom)
-    if expand is None:
-        return 0, 0
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     if len(bottom) == 1:
@@ -333,11 +314,13 @@ def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None)
     """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
     bottom row: the length of ``enumerate_<klass>(bottom, limits)``, or its
     budget error, from the walk of :func:`triangle_totals` without building a
-    triangle or computing an edge sign."""
+    triangle or computing an edge sign.  ``limits=None`` means the default
+    budgets, :data:`DEFAULT_LIMITS`."""
     return _totals(klass, bottom, limits or DEFAULT_LIMITS, _unit_signs)[0]
 
 
 def signed_gmt_count(bottom) -> int:
     """Sum of (-1)**sc over all generalized monotone triangles with the given
-    bottom row, by the walk of :func:`triangle_totals` with no budget."""
+    bottom row, by the walk of :func:`triangle_totals` with no budget
+    (``limits=None``)."""
     return triangle_totals("gmt", bottom, None)[1]

@@ -361,6 +361,8 @@ class TestVerifyCommand:
             (["rev-dup", "--n-range", "0..0"], "rev-dup has no point to check"),
             (["ratio-k6", "--n", "2"], "ratio-k6 has no point to check"),
             (["ratio-scan", "--k", "4", "--n-range", "1..3"], "ratio-scan-k4 has no point to check"),
+            (["reduction", "--row", ""], "cannot parse row ''"),
+            (["all", "--row", ""], "cannot parse row ''"),
         ]:
             assert main(["verify", *argv]) == 2, argv
             captured = capsys.readouterr()

@@ -354,6 +354,11 @@ class TestAlpha:
             alpha((1, 2), "no-such-method")
         with pytest.raises(BudgetExceededError):
             alpha(tuple(range(100)))
+        # a bool would reach a cache file as "False,1,2", a record load rejects
+        cache = EvalCache()
+        with pytest.raises(TypeError, match=r"^non-integer argument False$"):
+            alpha((False, 1, 2), "operator", cache)
+        assert len(cache) == 0
 
 
 class TestThirdExtension:

@@ -27,6 +27,8 @@ from monotri import (
 )
 from oracles import (
     StreamBudgetError,
+    box_triangles,
+    dmt_ok,
     gmt_ok,
     gmt_set_brute,
     mt_count_brute,
@@ -126,6 +128,22 @@ class TestDmtAdmissibleRows:
                 expected = [(v,) for v in range(k[1], k[0] + 1) if validate_dmt(Triangle([(v,), k]))]
                 assert dmt_admissible_rows(k) == expected, k
 
+    def test_a_value_three_times_leaves_no_row(self):
+        # the generalized fill finds no row above three equal neighbours
+        assert dmt_admissible_rows((2, 2, 2)) == []
+        assert dmt_admissible_rows((3, 2, 2, 2, 0)) == []
+
+    def test_matches_fragment_filter(self):
+        # every candidate row over the box of the row's values, filtered by
+        # the decreasing-triangle conditions on the two-row fragment
+        for m in range(2, 6):
+            for k in product(range(-3, 4), repeat=m):
+                if any(k[j] < k[j + 1] for j in range(m - 1)) or any(k.count(v) > 2 for v in k):
+                    continue
+                box = range(min(k), max(k) + 1)
+                expected = [l for l in product(box, repeat=m - 1) if dmt_ok([l, k])]
+                assert dmt_admissible_rows(k) == expected, k
+
 
 class TestEnumeration:
     def test_four_triangles_in_order_with_signs(self):
@@ -178,6 +196,14 @@ class TestEnumeration:
             dmt = sorted(t.rows for t in enumerate_dmt(bottom))
             gmt = sorted(t.rows for t in enumerate_gmt(bottom))
             assert dmt == gmt
+
+    def test_dmt_matches_box_enumeration(self):
+        for m in range(1, 5):
+            for bottom in product(range(-2, 3), repeat=m):
+                if any(bottom[j] < bottom[j + 1] for j in range(m - 1)):
+                    continue
+                expected = sorted(tuple(map(tuple, rows)) for rows in box_triangles(bottom) if dmt_ok(rows))
+                assert sorted(t.rows for t in enumerate_dmt(bottom)) == expected, bottom
 
     def test_dmt_signed_count_matches(self):
         triangles = list(enumerate_dmt((3, 2, 1)))
@@ -272,10 +298,8 @@ ENTRIES = st.integers(-3, 4)
 BOTTOMS = {
     "gmt": st.lists(ENTRIES, min_size=1, max_size=5).map(tuple),
     "mt": st.sets(ENTRIES, min_size=1, max_size=5).map(lambda s: tuple(sorted(s))),
-    # weakly decreasing, no value three times (such rows have no triangle)
-    "dmt": st.lists(ENTRIES, min_size=1, max_size=5)
-             .map(lambda r: tuple(sorted(r, reverse=True)))
-             .filter(lambda r: all(r.count(v) <= 2 for v in r)),
+    # weakly decreasing; a row with a value three times has no triangle
+    "dmt": st.lists(ENTRIES, min_size=1, max_size=5).map(lambda r: tuple(sorted(r, reverse=True))),
 }
 CLASS_AND_BOTTOM = st.sampled_from(sorted(BOTTOMS)).flatmap(
     lambda klass: st.tuples(st.just(klass), BOTTOMS[klass]))
