@@ -73,9 +73,11 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     larger element of a strict descent requires an equal entry to its left,
     and a value equal to the smaller element of a strict descent forces the
     next entry to equal it (or is inadmissible at the right edge).  A weakly
-    increasing triple below forces l[j-1] < l[j].  Above a row (a, b) of two
-    entries these conditions leave the apexes a..b when a <= b and the values
-    strictly between b and a otherwise, which are returned in closed form.
+    increasing triple below forces l[j-1] < l[j], so no row fits above three
+    equal neighbours; such a row returns ``[]`` before the fill walks the
+    prefixes to their left.  Above a row (a, b) of two entries these
+    conditions leave the apexes a..b when a <= b and the values strictly
+    between b and a otherwise, which are returned in closed form.
     """
     k = tuple(lower)
     m = len(k)
@@ -84,6 +86,8 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     if m == 2:
         a, b = k
         return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
+    if any(k[j] == k[j + 1] == k[j + 2] for j in range(m - 2)):
+        return []
     out: list[tuple[int, ...]] = []
     last = m - 2
 

@@ -67,6 +67,20 @@ class TestGmtAdmissibleRows:
         assert gmt_admissible_rows((3, 1)) == [(2,)]
         assert row_sign_changes((3, 1), (2,)) == 1
 
+    def test_three_equal_neighbours_leave_no_row(self):
+        # the fragment filter admits nothing above three equal neighbours
+        for m in range(3, 6):
+            for k in product(range(-2, 3), repeat=m):
+                if any(k[j] == k[j + 1] == k[j + 2] for j in range(m - 2)):
+                    box = range(min(k), max(k) + 1)
+                    assert not any(gmt_ok([l, k]) for l in product(box, repeat=m - 1)), k
+                    assert gmt_admissible_rows(k) == [], k
+
+    def test_wide_row_with_three_equal_neighbours_returns_at_once(self):
+        # the fill would walk about 41**5 prefixes left of the triple
+        assert gmt_admissible_rows((0, 40, 80, 120, 160, 200, 200, 200)) == []
+        assert count_triangles("gmt", (0, 40, 80, 120, 160, 200, 200, 200)) == 0
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             gmt_admissible_rows((5,))
@@ -400,6 +414,13 @@ class TestCountTriangles:
     def test_dmt_row_with_a_value_three_times_has_none(self):
         assert count_triangles("dmt", (1, 1, 1)) == 0
         assert count_triangles("dmt", (3, 2, 2, 2, 0)) == 0
+
+    def test_wide_dmt_row_with_a_value_three_times_returns_at_once(self):
+        # the fill would walk about 21**6 prefixes left of the three zeros
+        bottom = (120, 100, 80, 60, 40, 20, 0, 0, 0)
+        assert list(enumerate_dmt(bottom)) == []
+        assert count_triangles("dmt", bottom) == 0
+        assert triangle_totals("dmt", bottom, None) == (0, 0)
 
     def test_same_bottom_row_checks_as_the_streams(self):
         with pytest.raises(ValueError, match="strictly increasing"):
