@@ -25,6 +25,11 @@ from dataclasses import dataclass
 Position = tuple[int, int]
 
 
+def _is_integer(v) -> bool:
+    """Other int subclasses are integers, but bool's True is no integer."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Triangle:
     """Immutable triangular integer array, row i (from the top) has i entries."""
 
@@ -38,9 +43,8 @@ class Triangle:
             if len(row) != i:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {i}")
             for v in row:
-                # Other int subclasses are integers, but bool's True is no
-                # integer entry; the first test passes plain ints at once.
-                if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+                # the first test passes plain ints at once
+                if type(v) is not int and not _is_integer(v):
                     raise TypeError(f"non-integer entry {v!r} in row {i}")
         self.rows = rows
 
@@ -201,8 +205,9 @@ def sc_statistic(t: Triangle) -> SignStatistics:
 class TnObject:
     """Triangle decorated with a set of special interior positions.
 
-    Special positions (i, j) satisfy 1 < j < i <= n and no two specials in the
-    same row are horizontally adjacent; both are enforced at construction.
+    Special positions (i, j) are pairs of ints with 1 < j < i <= n, and no two
+    specials in the same row are horizontally adjacent; all three are enforced
+    at construction.
     Full membership in the decorated class (specials equal both parents,
     non-exempt entries bounded by the pair below) is checked separately by
     :func:`validate_tn`.
@@ -212,9 +217,11 @@ class TnObject:
 
     def __init__(self, triangle, special=()):
         self.triangle = triangle if isinstance(triangle, Triangle) else Triangle(triangle)
-        spec = frozenset((int(i), int(j)) for i, j in special)
+        spec = frozenset((i, j) for i, j in special)
         n = self.triangle.n
         for i, j in spec:
+            if not (_is_integer(i) and _is_integer(j)):
+                raise TypeError(f"non-integer special position {(i, j)!r}")
             if not (1 < j < i <= n):
                 raise ValueError(f"special position {(i, j)} is not interior")
             if (i, j + 1) in spec:

@@ -187,6 +187,31 @@ class TestSignStatistics:
             assert sc_statistic(t).sc == sc_brute(rows)
 
 
+def _small_triangles():
+    """Every triangle of size 1-3 with entries in -2..2 and every triangle of
+    size 4 with entries in -1..1, as lists of row tuples."""
+    for n, values in ((1, range(-2, 3)), (2, range(-2, 3)), (3, range(-2, 3)), (4, range(-1, 2))):
+        for bottom in product(values, repeat=n):
+            yield from box_triangles(bottom, values.start, values.stop - 1)
+
+
+def test_classes_and_sign_statistics_match_the_definitions_on_all_small_triangles():
+    # the validators against the literal class conditions, and both counts
+    # against their literal definitions, above every small bottom row
+    seen = 0
+    for rows in _small_triangles():
+        t = Triangle(rows)
+        assert validate_monotone_triangle(t) == mt_ok(rows), rows
+        assert validate_dmt(t) == dmt_ok(rows), rows
+        stats = sc_statistic(t)
+        assert stats.sc == sc_brute(rows), rows
+        newcomers = sum(1 for up, lo in zip(rows, rows[1:])
+                        for j in range(len(up)) if lo[j] > up[j] > lo[j + 1])
+        assert stats.newcomers == newcomers, rows
+        seen += 1
+    assert seen == 74_804
+
+
 class TestDecoratedObjects:
     def test_special_positions_must_be_interior(self):
         t = Triangle([(2,), (2, 2), (2, 2, 1)])
@@ -194,6 +219,15 @@ class TestDecoratedObjects:
             TnObject(t, [(2, 1)])
         with pytest.raises(ValueError):
             TnObject(t, [(3, 3)])
+
+    def test_special_positions_must_be_ints(self):
+        t = Triangle([(1,), (1, 1), (1, 1, 1)])
+        for special in [(3, 2.5), (3.9, 2), ("3", 2), (3, True), (False, 2)]:
+            with pytest.raises(TypeError, match="non-integer special position"):
+                TnObject(t, [special])
+        # other int subclasses are integers, checked as positions
+        with pytest.raises(ValueError, match="not interior"):
+            TnObject(t, [(3, Level.ONE)])
 
     def test_adjacent_specials_rejected(self):
         t = Triangle([(2,), (2, 2), (2, 2, 2), (2, 2, 2, 1)])
@@ -242,6 +276,11 @@ class TestSerialization:
         assert tn_to_json(tn_from_json(text)) == text
         payload = json.loads(text)
         assert payload["special"] == [[3, 2], [4, 2]]
+
+    def test_non_integer_special_positions_rejected(self):
+        for special in ('[[3.9,"2"]]', "[[3.0,2]]", "[[3,true]]"):
+            with pytest.raises(TypeError, match="non-integer special position"):
+                tn_from_json('{"rows":[[1],[1,1],[1,1,1]],"special":' + special + "}")
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValueError):
