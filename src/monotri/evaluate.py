@@ -36,6 +36,7 @@ from math import prod
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
+from .triangles import is_strictly_increasing
 
 METHODS = ("operator", "operator_alt", "gmt", "third", "mt")
 
@@ -416,7 +417,7 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "mt":
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+        if not is_strictly_increasing(row):
             raise ValueError("method 'mt' requires a strictly increasing row")
         return sum(1 for _ in enumerate_mt(row))
     if method == "gmt":
@@ -434,7 +435,6 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
 def applicable_methods(row) -> tuple[str, ...]:
     """Methods valid for the given row: all five when strictly increasing,
     otherwise everything except ``mt``."""
-    row = tuple(row)
-    if all(row[j] < row[j + 1] for j in range(len(row) - 1)):
+    if is_strictly_increasing(tuple(row)):
         return METHODS
     return tuple(m for m in METHODS if m != "mt")

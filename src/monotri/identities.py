@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .evaluate import METHODS, EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
 from .report import VerificationReport, build_report
 from .rows import gmt_admissible_rows, row_sign_changes
+from .triangles import has_equal_triple
 
 Row = tuple[int, ...]
 Evaluator = Callable[[Row], int]
@@ -44,6 +45,20 @@ def make_evaluator(method: str = "operator", cache: EvalCache | None = None) -> 
 
 def staircase(n: int) -> Row:
     return tuple(range(1, n + 1))
+
+
+def _refined_row(n: int, i: int) -> Row:
+    """The staircase 1..n without the argument i."""
+    return tuple(j for j in range(1, n + 1) if j != i)
+
+
+def _even_staircase(n: int) -> Row:
+    return tuple(range(2, 2 * n + 1, 2))
+
+
+def _w_row(n: int, i: int) -> Row:
+    """The doubled odd staircase with its first argument replaced by i."""
+    return (i,) + tuple(range(2, n + 2)) + staircase(n)
 
 
 # --- ASM quantities ----------------------------------------------------------
@@ -62,15 +77,14 @@ def refined_asm(n: int, i: int, method: str = "operator", cache: EvalCache | Non
         raise ValueError("n must be at least 2")
     if not 1 <= i <= n:
         raise ValueError(f"column index {i} outside 1..{n}")
-    row = tuple(j for j in range(1, n + 1) if j != i)
-    return alpha(row, method, cache)
+    return alpha(_refined_row(n, i), method, cache)
 
 
 def vsasm_number(n: int, method: str = "operator", cache: EvalCache | None = None) -> int:
     """Vertically symmetric ASMs of size 2n + 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return alpha(tuple(range(2, 2 * n + 1, 2)), method, cache)
+    return alpha(_even_staircase(n), method, cache)
 
 
 def w_refinement(n: int, i: int, method: str = "operator", cache: EvalCache | None = None) -> int:
@@ -80,8 +94,7 @@ def w_refinement(n: int, i: int, method: str = "operator", cache: EvalCache | No
         raise ValueError("n must be at least 1")
     if not 1 <= i <= 3 * n + 2:
         raise ValueError(f"index {i} outside 1..{3 * n + 2}")
-    row = (i,) + tuple(range(2, n + 2)) + tuple(range(1, n + 1))
-    return alpha(row, method, cache)
+    return alpha(_w_row(n, i), method, cache)
 
 
 # --- the identities -----------------------------------------------------------
@@ -236,10 +249,6 @@ def check_method_agreement(k, methods: Sequence[str] | None = None,
 # --- the row-sum expansion of the summation operator -------------------------
 
 
-def _has_equal_triple(row: Row) -> bool:
-    return any(row[j] == row[j + 1] == row[j + 2] for j in range(len(row) - 2))
-
-
 def hashed_row_function(seed: int, span: int = 20) -> Evaluator:
     """Deterministic pseudo-random integer function on rows, values in
     [-span, span].  Stable across runs and processes."""
@@ -277,7 +286,7 @@ def row_sum_identity(k, fn: Evaluator, zero_on_triple_rows: bool = False) -> tup
     differ; set ``zero_on_triple_rows`` to force the vanishing condition.
     """
     k = tuple(k)
-    masked = (lambda row: 0 if _has_equal_triple(row) else fn(row)) if zero_on_triple_rows else fn
+    masked = (lambda row: 0 if has_equal_triple(row) else fn(row)) if zero_on_triple_rows else fn
     lhs = operator_apply(k, masked)
     rhs = 0
     for row in gmt_admissible_rows(k):
@@ -396,7 +405,7 @@ def _hole_one_desc(p: dict, ev: Evaluator) -> tuple[int, int]:
     n, i = p["n"], p["i"]
     return (
         ev(_hole_row(n, i)),
-        -sum((j - i) * ev(tuple(x for x in range(1, n + 1) if x != j)) for j in range(1, n + 1)),
+        -sum((j - i) * ev(_refined_row(n, j)) for j in range(1, n + 1)),
     )
 
 
@@ -426,14 +435,13 @@ CONJECTURES: dict[str, Family] = {
         "full descending staircase of odd size equals the signed even staircase",
         _simple_points,
         lambda p, ev: (ev(tuple(range(2 * p["n"] + 1, 0, -1))),
-                       (-1) ** p["n"] * ev(tuple(range(2, 2 * p["n"] + 1, 2)))),
+                       (-1) ** p["n"] * ev(_even_staircase(p["n"]))),
     ),
     "vsasm-dup": Family(
         "conjecture", 1,
         "even staircase equals the doubled descending even staircase",
         _simple_points,
-        lambda p, ev: (ev(tuple(range(2, 2 * p["n"] + 1, 2))),
-                       ev(_descending_doubled(p["n"], step=2))),
+        lambda p, ev: (ev(_even_staircase(p["n"])), ev(_descending_doubled(p["n"], step=2))),
     ),
     "prefix-dup": Family(
         "conjecture", 1,
@@ -453,10 +461,7 @@ CONJECTURES: dict[str, Family] = {
         "conjecture", 1,
         "refinement family is symmetric under i -> 3n+3-i",
         lambda n: [{"n": n, "i": i} for i in range(1, (3 * n + 2) // 2 + 1)],
-        lambda p, ev: (
-            ev((p["i"],) + tuple(range(2, p["n"] + 2)) + staircase(p["n"])),
-            ev((3 * p["n"] + 3 - p["i"],) + tuple(range(2, p["n"] + 2)) + staircase(p["n"])),
-        ),
+        lambda p, ev: (ev(_w_row(p["n"], p["i"])), ev(_w_row(p["n"], 3 * p["n"] + 3 - p["i"]))),
     ),
     "one-desc": Family(
         "conjecture", 2,

@@ -21,7 +21,7 @@ from itertools import product
 from math import inf
 from typing import Callable, Iterator
 
-from .triangles import Triangle
+from .triangles import Triangle, has_equal_triple, is_strictly_increasing, is_weakly_decreasing, row_sign_statistics
 
 
 class BudgetExceededError(RuntimeError):
@@ -44,18 +44,10 @@ DEFAULT_LIMITS = EnumerationLimits()
 
 
 def row_sign_changes(lower, upper) -> int:
-    """Newcomers and sign-changing pairs of ``upper`` against ``lower`` below.
-
-    ``upper`` must be one entry shorter than ``lower``.
-    """
-    total = 0
-    for j in range(len(upper)):
-        if lower[j] > upper[j] > lower[j + 1]:
-            total += 1
-    for j in range(len(upper) - 1):
-        if upper[j] == upper[j + 1] == lower[j + 1]:
-            total += 1
-    return total
+    """Newcomers plus sign-changing pairs of ``upper`` against ``lower`` below
+    (:func:`~monotri.triangles.row_sign_statistics`)."""
+    newcomers, pairs = row_sign_statistics(lower, upper)
+    return newcomers + pairs
 
 
 def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
@@ -86,7 +78,7 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     if m == 2:
         a, b = k
         return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
-    if any(k[j] == k[j + 1] == k[j + 2] for j in range(m - 2)):
+    if has_equal_triple(k):
         return []
     out: list[tuple[int, ...]] = []
     last = m - 2
@@ -123,7 +115,7 @@ def mt_admissible_rows(lower) -> list[tuple[int, ...]]:
     m = len(k)
     if m < 2:
         raise ValueError("the lower row needs at least two entries")
-    if any(k[j] >= k[j + 1] for j in range(m - 1)):
+    if not is_strictly_increasing(k):
         raise ValueError("the lower row must be strictly increasing")
     rows = product(*[range(k[j], k[j + 1] + 1) for j in range(m - 1)])
     if m == 2:
@@ -135,16 +127,11 @@ def mt_admissible_rows(lower) -> list[tuple[int, ...]]:
 
 def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     """Rows admissible above the weakly decreasing row ``lower`` in a
-    decreasing monotone triangle, in lexicographic order.
-
-    On a weakly decreasing bottom row the generalized monotone triangles are
-    exactly the decreasing ones, so these are the rows of
-    :func:`gmt_admissible_rows`: lower[j] >= l[j] >= lower[j+1], no value more
-    than twice in l, and no value exactly once in both l and ``lower``.  A
-    row that holds a value three times has none.
-    """
+    decreasing monotone triangle, in lexicographic order: the rows of
+    :func:`gmt_admissible_rows`, since on a weakly decreasing bottom row the
+    generalized monotone triangles are exactly the decreasing ones."""
     k = tuple(lower)
-    if any(k[j] < k[j + 1] for j in range(len(k) - 1)):
+    if not is_weakly_decreasing(k):
         raise ValueError("the lower row must be weakly decreasing")
     return gmt_admissible_rows(k)
 
@@ -153,17 +140,13 @@ def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable]:
     """Check ``bottom`` against the triangle class and return it as a tuple
     with the class's expansion (row -> admissible rows above it)."""
     bottom = tuple(bottom)
-    if klass == "gmt":
-        return bottom, gmt_admissible_rows
-    if klass == "mt":
-        if any(bottom[j] >= bottom[j + 1] for j in range(len(bottom) - 1)):
-            raise ValueError("the bottom row must be strictly increasing")
-        return bottom, mt_admissible_rows
-    if klass == "dmt":
-        if any(bottom[j] < bottom[j + 1] for j in range(len(bottom) - 1)):
-            raise ValueError("the bottom row must be weakly decreasing")
-        return bottom, gmt_admissible_rows
-    raise ValueError(f"unknown triangle class {klass!r}")
+    if klass not in ("gmt", "mt", "dmt"):
+        raise ValueError(f"unknown triangle class {klass!r}")
+    if klass == "mt" and not is_strictly_increasing(bottom):
+        raise ValueError("the bottom row must be strictly increasing")
+    if klass == "dmt" and not is_weakly_decreasing(bottom):
+        raise ValueError("the bottom row must be weakly decreasing")
+    return bottom, mt_admissible_rows if klass == "mt" else gmt_admissible_rows
 
 
 def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tuple[int, ...]]],

@@ -1,18 +1,17 @@
 """Triangular integer arrays, their validity conditions, and sign statistics.
 
 A triangle of size n is an integer array (a(i,j)) with 1 <= j <= i <= n,
-stored top row first.  Three classes of triangles are defined by local
-conditions between consecutive rows:
+stored top row first.  :func:`validate_gmt` checks the three conditions
+between consecutive rows that define generalized monotone triangles.  The
+classes they generalize are its restrictions to a bottom-row shape:
+monotone triangles (rows strictly increase, NE/SE diagonals weakly
+increase) have a strictly increasing bottom row, decreasing monotone
+triangles (diagonals weakly decrease, no integer more than twice in a row
+nor once in each of two consecutive rows) a weakly decreasing one.
 
-* monotone triangles: rows strictly increase, NE/SE diagonals weakly increase;
-* decreasing monotone triangles: diagonals weakly decrease, no integer appears
-  more than twice in a row, and no integer appears exactly once in each of two
-  consecutive rows;
-* generalized monotone triangles: the joint generalization given by the three
-  conditions checked in :func:`validate_gmt`.
-
-The sign of a generalized monotone triangle is (-1)**sc where sc counts
-newcomers and sign-changing pairs (:func:`sc_statistic`).  Decorated triangles
+The sign of a generalized monotone triangle is (-1)**sc, where sc counts
+newcomers and sign-changing pairs (:func:`sc_statistic`) by the one
+row-level count, :func:`row_sign_statistics`.  Decorated triangles
 (:class:`TnObject`) carry a set of marked "special" interior entries and are
 signed by specials plus inversions (:attr:`TnObject.weight`).
 """
@@ -115,40 +114,32 @@ class SignStatistics:
         return 1 if self.sc % 2 == 0 else -1
 
 
+def is_strictly_increasing(row) -> bool:
+    """The bottom-row shape of monotone triangles."""
+    return all(a < b for a, b in zip(row, row[1:]))
+
+
+def is_weakly_decreasing(row) -> bool:
+    """The bottom-row shape of decreasing monotone triangles."""
+    return all(a >= b for a, b in zip(row, row[1:]))
+
+
+def has_equal_triple(row) -> bool:
+    """Three consecutive equal entries: no generalized row fits above them."""
+    return any(row[j] == row[j + 1] == row[j + 2] for j in range(len(row) - 2))
+
+
 def validate_monotone_triangle(t: Triangle) -> bool:
-    """Strict increase along rows, weak increase along NE and SE diagonals."""
-    rows = t.rows
-    for row in rows:
-        for j in range(len(row) - 1):
-            if not row[j] < row[j + 1]:
-                return False
-    for i in range(len(rows) - 1):
-        up, lo = rows[i], rows[i + 1]
-        for j in range(len(up)):
-            if not (lo[j] <= up[j] <= lo[j + 1]):
-                return False
-    return True
+    """Strict increase along rows, weak increase along NE and SE diagonals:
+    the generalized monotone triangles with a strictly increasing bottom row."""
+    return is_strictly_increasing(t.bottom_row) and validate_gmt(t).ok
 
 
 def validate_dmt(t: Triangle) -> bool:
-    """Weakly decreasing diagonals, each integer at most twice per row, and no
-    integer occurring exactly once in each of two consecutive rows."""
-    rows = t.rows
-    for i in range(len(rows) - 1):
-        up, lo = rows[i], rows[i + 1]
-        for j in range(len(up)):
-            if not (lo[j] >= up[j] >= lo[j + 1]):
-                return False
-    for row in rows:
-        for v in set(row):
-            if row.count(v) > 2:
-                return False
-    for i in range(len(rows) - 1):
-        up, lo = rows[i], rows[i + 1]
-        for v in set(up):
-            if up.count(v) == 1 and lo.count(v) == 1:
-                return False
-    return True
+    """Weakly decreasing diagonals, no integer more than twice in a row nor
+    once in each of two consecutive rows: the generalized monotone triangles
+    with a weakly decreasing bottom row."""
+    return is_weakly_decreasing(t.bottom_row) and validate_gmt(t).ok
 
 
 def validate_gmt(t: Triangle) -> ValidationReport:
@@ -180,34 +171,39 @@ def validate_gmt(t: Triangle) -> ValidationReport:
     return ValidationReport(True)
 
 
-def sc_statistic(t: Triangle) -> SignStatistics:
-    """Count newcomers and sign-changing pairs.
+def row_sign_statistics(lower, upper) -> tuple[int, int]:
+    """(newcomers, sign-changing pairs) of ``upper`` against ``lower`` below.
 
     A newcomer is an entry strictly between a strictly decreasing pair below:
-    a(i+1,j) > a(i,j) > a(i+1,j+1).  A sign-changing pair is an equal pair
-    (a(i,j), a(i,j+1)) whose interlaced neighbour below equals it as well.
-    Both counts are literal and well defined on any triangle.
+    lower[j] > upper[j] > lower[j+1].  A sign-changing pair is an equal pair
+    (upper[j], upper[j+1]) whose interlaced neighbour lower[j+1] equals it as
+    well.  ``upper`` must be one entry shorter than ``lower``.
     """
-    rows = t.rows
     newcomers = 0
+    for j in range(len(upper)):
+        if lower[j] > upper[j] > lower[j + 1]:
+            newcomers += 1
     pairs = 0
-    for i in range(len(rows) - 1):
-        up, lo = rows[i], rows[i + 1]
-        for j in range(len(up)):
-            if lo[j] > up[j] > lo[j + 1]:
-                newcomers += 1
-        for j in range(len(up) - 1):
-            if up[j] == up[j + 1] == lo[j + 1]:
-                pairs += 1
-    return SignStatistics(newcomers, pairs)
+    for j in range(len(upper) - 1):
+        if upper[j] == upper[j + 1] == lower[j + 1]:
+            pairs += 1
+    return newcomers, pairs
+
+
+def sc_statistic(t: Triangle) -> SignStatistics:
+    """Newcomers and sign-changing pairs, the sums of
+    :func:`row_sign_statistics` over each row and the row below it.  Both
+    counts are literal and well defined on any triangle."""
+    rows = t.rows
+    counts = [row_sign_statistics(lower, upper) for upper, lower in zip(rows, rows[1:])]
+    return SignStatistics(sum(c for c, _ in counts), sum(p for _, p in counts))
 
 
 class TnObject:
     """Triangle decorated with a set of special interior positions.
 
-    Special positions (i, j) are pairs of ints with 1 < j < i <= n, and no two
-    specials in the same row are horizontally adjacent; all three are enforced
-    at construction.
+    Special positions (i, j) are ints with 1 < j < i <= n, no two in a row
+    horizontally adjacent; all of this is enforced at construction.
     Full membership in the decorated class (specials equal both parents,
     non-exempt entries bounded by the pair below) is checked separately by
     :func:`validate_tn`.

@@ -21,9 +21,7 @@ from monotri import (
     sc_statistic,
     signed_gmt_count,
     triangle_totals,
-    validate_dmt,
     validate_gmt,
-    validate_monotone_triangle,
 )
 from oracles import (
     StreamBudgetError,
@@ -32,6 +30,7 @@ from oracles import (
     gmt_ok,
     gmt_set_brute,
     mt_count_brute,
+    mt_ok,
     sc_brute,
     signed_count_closures,
     signed_gmt_brute,
@@ -139,7 +138,7 @@ class TestDmtAdmissibleRows:
     def test_pair_closed_form_matches_brute_force(self):
         for k in product(range(-8, 9), repeat=2):
             if k[0] >= k[1]:
-                expected = [(v,) for v in range(k[1], k[0] + 1) if validate_dmt(Triangle([(v,), k]))]
+                expected = [(v,) for v in range(k[1], k[0] + 1) if dmt_ok([(v,), k])]
                 assert dmt_admissible_rows(k) == expected, k
 
     def test_a_value_three_times_leaves_no_row(self):
@@ -187,7 +186,7 @@ class TestEnumeration:
         triangles = list(enumerate_mt((1, 2, 3)))
         assert len(triangles) == 7 == mt_count_brute((1, 2, 3))
         for t in triangles:
-            assert validate_monotone_triangle(t)
+            assert mt_ok(t.rows)
 
     def test_mt_is_gmt_for_increasing_bottom(self):
         assert [t.rows for t in enumerate_mt((1, 2, 3))] == [t.rows for t in enumerate_gmt((1, 2, 3))]
@@ -203,7 +202,7 @@ class TestEnumeration:
         assert len(list(enumerate_dmt((1, 1)))) == 1
         assert list(enumerate_dmt((2, 1))) == list(enumerate_gmt((2, 1))) == []
         for t in enumerate_dmt((2, 2, 1)):
-            assert validate_dmt(t)
+            assert dmt_ok(t.rows)
 
     def test_dmt_set_equals_gmt_set(self):
         for bottom in [(2, 1), (3, 2, 1), (2, 2, 1), (1, 1, 1), (3, 1, 1, 0)]:
