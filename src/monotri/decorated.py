@@ -22,8 +22,10 @@ from .report import VerificationReport, build_report
 from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count
 from .triangles import (
     Position,
+    StreamRows,
     TnObject,
     Triangle,
+    check_row,
     inferred_special_positions,
     sc_statistic,
     validate_tn,
@@ -50,7 +52,9 @@ def _tn_walk(bottom, limits: EnumerationLimits):
     on each visit, so a budget stops the walk before a wide box is built.
     Yields ``path`` at each object; the walk goes on to change it.  Each row
     taken charges the row budget, and each object the triangle budget before
-    it is yielded."""
+    it is yielded.  ``bottom``'s entries are checked first; every row above
+    it is built from ``range`` objects."""
+    check_row(bottom, len(bottom))
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     rows_left = limits.max_rows_generated
@@ -95,12 +99,13 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
     subset of its interior positions is chosen first (non-adjacent subsets,
     smallest size first); specials pin both parents to their own value, and
     the remaining positions of the row above range over the interval between
-    their lower neighbours (strictly between, under a strict descent).
+    their lower neighbours (strictly between, under a strict descent).  The
+    bottom row's entries are checked before the walk starts.
     ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``.
     """
     for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
         rows, specials, _ = zip(*reversed(path))
-        yield TnObject(Triangle(rows), chain.from_iterable(specials))
+        yield TnObject(Triangle(StreamRows(rows)), chain.from_iterable(specials))
 
 
 def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int]:

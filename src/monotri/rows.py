@@ -21,7 +21,15 @@ from itertools import product
 from math import inf
 from typing import Callable, Iterator
 
-from .triangles import Triangle, has_equal_triple, is_strictly_increasing, is_weakly_decreasing, row_sign_statistics
+from .triangles import (
+    StreamRows,
+    Triangle,
+    check_row,
+    has_equal_triple,
+    is_strictly_increasing,
+    is_weakly_decreasing,
+    row_sign_statistics,
+)
 
 
 class BudgetExceededError(RuntimeError):
@@ -137,11 +145,14 @@ def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:
 
 
 def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable]:
-    """Check ``bottom`` against the triangle class and return it as a tuple
-    with the class's expansion (row -> admissible rows above it)."""
+    """Check ``bottom``'s entries and its shape against the triangle class
+    and return it as a tuple with the class's expansion (row -> admissible
+    rows above it).  Every row above it is then built from ``range`` objects,
+    so the streams take their rows unchecked (:class:`StreamRows`)."""
     bottom = tuple(bottom)
     if klass not in ("gmt", "mt", "dmt"):
         raise ValueError(f"unknown triangle class {klass!r}")
+    check_row(bottom, len(bottom))
     if klass == "mt" and not is_strictly_increasing(bottom):
         raise ValueError("the bottom row must be strictly increasing")
     if klass == "dmt" and not is_weakly_decreasing(bottom):
@@ -161,7 +172,7 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
     rows_left = limits.max_rows_generated
     triangles_left = limits.max_triangles
     if len(bottom) == 1:
-        yield Triangle((bottom,))
+        yield Triangle(StreamRows((bottom,)))
         return
     path = [bottom]
     pending = []
@@ -177,7 +188,7 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
                 if triangles_left == 0:
                     raise BudgetExceededError("triangle budget exhausted")
                 triangles_left -= 1
-                yield Triangle((apex, *below))
+                yield Triangle(StreamRows((apex, *below)))
             path.pop()
         else:
             pending.append(iter(above))
@@ -194,22 +205,25 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
 
 def enumerate_gmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All generalized monotone triangles with the given bottom row,
-    depth-first in lexicographic order of the successive rows.
+    depth-first in lexicographic order of the successive rows.  The bottom
+    row's entries are checked on the call.
     ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("gmt", bottom)
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_mt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
-    """All monotone triangles with the given strictly increasing bottom row.
-    ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
+    """All monotone triangles with the given strictly increasing bottom row,
+    whose entries are checked on the call.  ``limits=None`` means the
+    default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("mt", bottom)
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
 
 def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All decreasing monotone triangles with the given weakly decreasing
-    bottom row.  ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
+    bottom row, whose entries are checked on the call.  ``limits=None`` means
+    the default budgets, :data:`DEFAULT_LIMITS`."""
     bottom, expand = _class_expansion("dmt", bottom)
     return _stream(bottom, expand, limits or DEFAULT_LIMITS)
 
@@ -301,7 +315,8 @@ def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None)
     """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
     bottom row: the length of ``enumerate_<klass>(bottom, limits)``, or its
     budget error, from the walk of :func:`triangle_totals` without building a
-    triangle or computing an edge sign.  ``limits=None`` means the default
+    triangle or computing an edge sign.  The bottom row's entries are checked
+    on the call, as the stream's are.  ``limits=None`` means the default
     budgets, :data:`DEFAULT_LIMITS`."""
     return _totals(klass, bottom, limits or DEFAULT_LIMITS, _unit_signs)[0]
 

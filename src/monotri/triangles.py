@@ -29,22 +29,44 @@ def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def check_row(row, i: int) -> None:
+    """Raise TypeError at the first entry of ``row`` (row ``i`` of a
+    triangle) that is not an integer."""
+    for v in row:
+        # the first test passes plain ints at once
+        if type(v) is not int and not _is_integer(v):
+            raise TypeError(f"non-integer entry {v!r} in row {i}")
+
+
+class StreamRows(tuple):
+    """Rows, top row first, that a stream built above a bottom row it checked
+    with :func:`check_row`: every row above it comes from ``range`` objects
+    (plain ints) and row i has i entries by construction."""
+
+    __slots__ = ()
+
+
 class Triangle:
-    """Immutable triangular integer array, row i (from the top) has i entries."""
+    """Immutable triangular integer array, row i (from the top) has i entries.
+
+    Any argument is checked: row lengths, and entries that are ints other
+    than bools.  A stream's :class:`StreamRows` is taken unchecked, since the
+    stream checked its bottom row and built the rows above it.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        if type(rows) is StreamRows:
+            self.rows = tuple(rows)
+            return
         rows = tuple(map(tuple, rows))
         if not rows:
             raise ValueError("a triangle needs at least one row")
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {i}")
-            for v in row:
-                # the first test passes plain ints at once
-                if type(v) is not int and not _is_integer(v):
-                    raise TypeError(f"non-integer entry {v!r} in row {i}")
+            check_row(row, i)
         self.rows = rows
 
     @property

@@ -1,5 +1,7 @@
 import random
-from itertools import product
+import re
+from enum import IntEnum
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,14 @@ from monotri import (
     enumerate_dmt,
     enumerate_gmt,
     enumerate_mt,
+    enumerate_tn,
     gmt_admissible_rows,
     mt_admissible_rows,
     row_sign_changes,
     sc_statistic,
     signed_gmt_count,
+    signed_tn_count,
+    tn_totals,
     triangle_totals,
     validate_gmt,
 )
@@ -480,3 +485,74 @@ class TestCountTriangles:
         assert count_triangles("dmt", (3, 2, 1)) == len(list(enumerate_dmt((3, 2, 1))))
         with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
             count_triangles("gmt", (0, 300, 600))
+
+
+# --- the bottom row is checked on the call; streamed rows are not checked again
+
+ENTRY_POINTS = {
+    "enumerate_gmt": lambda b: next(enumerate_gmt(b)),
+    "enumerate_mt": lambda b: next(enumerate_mt(b)),
+    "enumerate_dmt": lambda b: next(enumerate_dmt(b)),
+    "enumerate_tn": lambda b: next(enumerate_tn(b)),
+    "count_triangles-gmt": lambda b: count_triangles("gmt", b),
+    "count_triangles-mt": lambda b: count_triangles("mt", b),
+    "count_triangles-dmt": lambda b: count_triangles("dmt", b),
+    "triangle_totals": lambda b: triangle_totals("gmt", b, None),
+    "signed_gmt_count": signed_gmt_count,
+    "tn_totals": tn_totals,
+    "signed_tn_count": signed_tn_count,
+}
+
+
+@pytest.mark.parametrize("bottom", [(True, 2, 3), (1.0, 2, 3), (1.5,), (True,)],
+                         ids=["bool-first", "float-first", "float-alone", "bool-alone"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_integer_bottom_entries_are_rejected_before_any_result(entry, bottom):
+    # counts and signed totals used to accept the bool, and a float gave
+    # range's message or, alone in its row, a count
+    message = rf"^non-integer entry {re.escape(repr(bottom[0]))} in row {len(bottom)}$"
+    with pytest.raises(TypeError, match=message):
+        ENTRY_POINTS[entry](bottom)
+
+
+class Entry(IntEnum):
+    """An int subclass other than bool."""
+
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def test_int_subclass_bottom_is_accepted_and_kept_as_given():
+    bottom = (Entry.THREE, Entry.ONE, Entry.TWO)
+    plain = (3, 1, 2)
+    for stream in (enumerate_gmt, enumerate_tn):
+        got = list(stream(bottom))
+        assert got == list(stream(plain)) and got
+        for item in got:
+            rows = getattr(item, "triangle", item).rows
+            assert all(type(v) is Entry for v in rows[-1])
+            assert all(type(v) is int for row in rows[:-1] for v in row)
+    assert triangle_totals("gmt", bottom, None) == triangle_totals("gmt", plain, None)
+    assert tn_totals(bottom) == tn_totals(plain)
+    assert [t.rows for t in enumerate_mt(sorted(bottom))] == [t.rows for t in enumerate_mt((1, 2, 3))]
+
+
+STREAMED_CLASSES = {**STREAMS, "tn": enumerate_tn}
+CLASS_SHAPES = {
+    "gmt": tuple,
+    "tn": tuple,
+    "mt": lambda r: tuple(sorted(set(r))),
+    "dmt": lambda r: tuple(sorted(r, reverse=True)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(STREAMED_CLASSES)), st.lists(ENTRIES, min_size=1, max_size=6))
+def test_streamed_triangles_equal_the_checked_ones(klass, entries):
+    bottom = CLASS_SHAPES[klass](entries)
+    for item in islice(STREAMED_CLASSES[klass](bottom), 300):
+        t = getattr(item, "triangle", item)
+        assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
+        assert t == Triangle([list(row) for row in t.rows])
+        assert t.bottom_row == bottom
