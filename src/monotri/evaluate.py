@@ -356,11 +356,11 @@ def _third_families(n: int) -> tuple[tuple[tuple[int, ...], int, tuple[int | Non
     argument it is pinned to: chosen index i pins inner positions i-1 and i to
     the argument k_i (1-based)."""
     families = []
-    indices = range(2, n)
-    for p in range(len(indices) + 1):
-        for chosen in combinations(indices, p):
-            if any(b - a < 2 for a, b in zip(chosen, chosen[1:])):
-                continue
+    for p in range(max(n - 2, 0) + 1):
+        # shifting the t-th element of a p-subset of 2..n-p up by t leaves a
+        # gap of two or more between neighbours, and every such set arises once
+        for cs in combinations(range(2, n - p + 1), p):
+            chosen = tuple(c + t for t, c in enumerate(cs))
             sources = [None] * (n - 1)
             for i in chosen:
                 sources[i - 2] = sources[i - 1] = i - 1

@@ -10,16 +10,16 @@ same tree in the same order without building triangles.
 The decreasing class (dmt) has no row fill of its own: on a weakly decreasing
 bottom row the generalized monotone triangles are exactly the decreasing
 ones, so it walks :func:`gmt_admissible_rows` and only decides which bottom
-rows it accepts.  The monotone class (mt) keeps its own interlacing filter,
-so that comparing it with the generalized walk checks more than the signs.
+rows it accepts.  The monotone class (mt) fills its rows by their definition,
+strictly increasing and interlacing, so that comparing it with the
+generalized walk checks more than the signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import inf
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .triangles import (
     StreamRows,
@@ -58,6 +58,16 @@ def row_sign_changes(lower, upper) -> int:
     return newcomers + pairs
 
 
+def _extend(width: int, allowed: Callable[[int, tuple[int, ...]], Iterable[int]]) -> list[tuple[int, ...]]:
+    """The rows of ``width`` entries with entry j drawn from the increasing
+    ``allowed(j, entries left of it)``, in lexicographic order, built one
+    position at a time (no recursion, whatever the width)."""
+    rows: list[tuple[int, ...]] = [()]
+    for j in range(width):
+        rows = [p + (v,) for p in rows for v in allowed(j, p)]
+    return rows
+
+
 def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     """Rows admissible directly above ``lower`` in a generalized monotone
     triangle, in lexicographic order.  The sign-change contribution of a row
@@ -68,14 +78,14 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     equal entries (such a row admits no further row above it, hence never
     occurs inside a complete triangle).
 
-    The row is filled left to right.  Candidate values for l[j] come from the
-    closed interval between lower[j] and lower[j+1]; a value equal to the
-    larger element of a strict descent requires an equal entry to its left,
-    and a value equal to the smaller element of a strict descent forces the
-    next entry to equal it (or is inadmissible at the right edge).  A weakly
-    increasing triple below forces l[j-1] < l[j], so no row fits above three
-    equal neighbours; such a row returns ``[]`` before the fill walks the
-    prefixes to their left.  Above a row (a, b) of two entries these
+    The row is filled left to right (:func:`_extend`).  Candidate values for
+    l[j] come from the closed interval between lower[j] and lower[j+1]; a
+    value equal to the larger element of a strict descent requires an equal
+    entry to its left, and a value equal to the smaller element of a strict
+    descent forces the next entry to equal it (or is inadmissible at the
+    right edge).  A weakly increasing triple below forces l[j-1] < l[j], so
+    no row fits above three equal neighbours; such a row returns ``[]``
+    before any prefix is built.  Above a row (a, b) of two entries these
     conditions leave the apexes a..b when a <= b and the values strictly
     between b and a otherwise, which are returned in closed form.
     """
@@ -88,49 +98,32 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
         return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
     if has_equal_triple(k):
         return []
-    out: list[tuple[int, ...]] = []
-    last = m - 2
 
-    def fill(j: int, prefix: tuple[int, ...], forced: int | None):
-        if j > last:
-            out.append(prefix)
-            return
-        lo, hi = min(k[j], k[j + 1]), max(k[j], k[j + 1])
-        candidates = (forced,) if forced is not None else range(lo, hi + 1)
-        for v in candidates:
-            if not lo <= v <= hi:
-                continue
-            if v == k[j] and k[j] > k[j + 1] and (j == 0 or prefix[j - 1] != v):
-                continue
-            if j >= 1 and k[j - 1] <= k[j] <= k[j + 1] and not prefix[j - 1] < v:
-                continue
-            if j >= 2 and prefix[j - 2] == prefix[j - 1] == v:
-                continue
-            next_forced = None
-            if k[j] > k[j + 1] == v:
-                if j == last:
-                    continue
-                next_forced = v
-            fill(j + 1, prefix + (v,), next_forced)
+    def allowed(j: int, p: tuple[int, ...]) -> Iterable[int]:
+        a, b = k[j], k[j + 1]
+        if not j:
+            return range(a, b + 1) if a <= b else range(b, a)
+        c, q = k[j - 1], p[-1]
+        if c > a == q:
+            values = p[-1:]  # forced; not (a,), so that entries stay the ints range made
+        elif a <= b:
+            values = range(max(a, q + 1) if c <= a else a, b + 1)
+        else:
+            values = range(b + (j == m - 2), a + (q == a))
+        return [v for v in values if v != q] if j > 1 and p[-2] == q else values
 
-    fill(0, (), None)
-    return out
+    return _extend(m - 1, allowed)
 
 
 def mt_admissible_rows(lower) -> list[tuple[int, ...]]:
-    """Strictly increasing rows interlacing ``lower``: lower[j] <= l[j] <= lower[j+1]."""
+    """Strictly increasing rows l interlacing ``lower``, lower[j] <= l[j] <=
+    lower[j+1], in lexicographic order, filled left to right (:func:`_extend`)."""
     k = tuple(lower)
-    m = len(k)
-    if m < 2:
+    if len(k) < 2:
         raise ValueError("the lower row needs at least two entries")
     if not is_strictly_increasing(k):
         raise ValueError("the lower row must be strictly increasing")
-    rows = product(*[range(k[j], k[j + 1] + 1) for j in range(m - 1)])
-    if m == 2:
-        return list(rows)
-    # l[j] <= k[j+1] <= l[j+1]: a row is weakly increasing, and strict
-    # unless two neighbours both equal k[j+1], that is unless a value repeats.
-    return [l for l in rows if len(set(l)) == m - 1]
+    return _extend(len(k) - 1, lambda j, p: range(max(k[j], p[-1] + 1) if j else k[j], k[j + 1] + 1))
 
 
 def dmt_admissible_rows(lower) -> list[tuple[int, ...]]:

@@ -108,6 +108,15 @@ def signed_gmt_brute(bottom):
     return sum((-1) ** sc_brute(t) for t in gmt_set_brute(bottom))
 
 
+def mt_rows_brute(lower):
+    """Rows above the strictly increasing row ``lower`` in a monotone
+    triangle: every row in the product of the interlacing windows
+    lower[j]..lower[j+1], kept when the two-row fragment satisfies ``mt_ok``."""
+    k = tuple(lower)
+    windows = [range(k[j], k[j + 1] + 1) for j in range(len(k) - 1)]
+    return [l for l in product(*windows) if mt_ok([l, k])]
+
+
 def mt_count_brute(bottom):
     return sum(1 for t in box_triangles(bottom) if mt_ok(t))
 
@@ -308,7 +317,7 @@ def chain_closures(row, cache, alt=False):
     return ev(tuple(row))
 
 
-def _nonadjacent_sets(lo, hi):
+def nonadjacent_sets(lo, hi):
     """Subsets of lo..hi with no two consecutive elements, smallest first,
     lexicographic within each size."""
     idxs = range(lo, hi + 1)
@@ -332,7 +341,7 @@ def third_closures(row, cache):
         if cached is not None:
             return cached
         total = 0
-        for chosen in _nonadjacent_sets(2, n - 1):
+        for chosen in nonadjacent_sets(2, n - 1):
             bounds = [(r[j], r[j + 1]) for j in range(n - 1)]
             for i in chosen:
                 bounds[i - 2] = (r[i - 1], r[i - 1])
@@ -392,7 +401,7 @@ def tn_generators(bottom, max_rows, max_triangles):
     """The decorated-triangle stream as nested generators, yielding each
     object as (rows top first, frozenset of special positions).  Above each
     row of length r, the specials (r, j) are chosen first, non-adjacent j in
-    2..r-1 by ``_nonadjacent_sets``; each pins both parents to its value, and
+    2..r-1 by ``nonadjacent_sets``; each pins both parents to its value, and
     every other position of the row above ranges over the interval between
     its lower neighbours, strictly between under a strict descent.  Every row
     taken charges one to the row budget and every object one to the triangle
@@ -412,7 +421,7 @@ def tn_generators(bottom, max_rows, max_triangles):
             yield tuple(reversed(stack)), specials
             return
         current = stack[-1]
-        for chosen in _nonadjacent_sets(2, r - 1):
+        for chosen in nonadjacent_sets(2, r - 1):
             pinned = {}
             for j in chosen:  # special at (r, j) pins positions j-1, j above
                 pinned[j - 2] = pinned[j - 1] = current[j - 1]

@@ -262,6 +262,14 @@ class TestEnumerateCommand:
         assert run_cli("enumerate", "mt", "--row", "2,1").returncode == 2
         assert run_cli("enumerate", "dmt", "--row", "1,2").returncode == 2
 
+    def test_row_budget_stops_a_long_mt_row(self, capsys):
+        # 39 interlacing windows of two values each: a fill that filtered
+        # their product would weigh 2**39 candidates before the budget
+        started = time.perf_counter()
+        assert main(["enumerate", "mt", "--row", ",".join(map(str, range(1, 41))), "--max-rows", "5"]) == 3
+        assert time.perf_counter() - started < 2
+        assert capsys.readouterr().err == "error: row generation budget exhausted\n"
+
     def test_budget_exit_code(self):
         proc = run_cli("enumerate", "mt", "--row", "2,4,5,8,9", "--max-triangles", "5")
         assert proc.returncode == 3

@@ -18,11 +18,12 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri.evaluate import _box_keys
+from monotri.evaluate import _box_keys, _third_families
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
     memo_closures,
+    nonadjacent_sets,
     operator_alt_closures,
     operator_closures,
     signed_gmt_brute,
@@ -367,6 +368,12 @@ class TestThirdExtension:
         assert alpha((4, 2, 1, 3), "third", cache) == -2
         assert alpha((1, 2, 3), "third", cache) == 7
         assert alpha((5,), "third", cache) == 1
+
+    def test_families_are_the_nonadjacent_index_sets(self):
+        for n in range(1, 17):
+            families = _third_families(n)
+            assert [chosen for chosen, _, _ in families] == list(nonadjacent_sets(2, n - 1)), n
+            assert all(sign == (-1) ** len(chosen) for chosen, sign, _ in families), n
 
     def test_agrees_with_operator_on_window(self):
         cache, third = EvalCache(), EvalCache()

@@ -36,6 +36,7 @@ from oracles import (
     gmt_set_brute,
     mt_count_brute,
     mt_ok,
+    mt_rows_brute,
     sc_brute,
     signed_count_closures,
     signed_gmt_brute,
@@ -130,6 +131,12 @@ class TestMtAdmissibleRows:
         with pytest.raises(ValueError):
             mt_admissible_rows((2, 2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-5, 8), min_size=2, max_size=7, unique=True))
+    def test_matches_the_definition(self, entries):
+        k = tuple(sorted(entries))
+        assert mt_admissible_rows(k) == mt_rows_brute(k)
+
 
 class TestDmtAdmissibleRows:
     def test_non_decreasing_rejected(self):
@@ -150,6 +157,15 @@ class TestDmtAdmissibleRows:
         # the generalized fill finds no row above three equal neighbours
         assert dmt_admissible_rows((2, 2, 2)) == []
         assert dmt_admissible_rows((3, 2, 2, 2, 0)) == []
+
+    def test_long_row_is_filled_without_recursion(self):
+        # 1,100 entries, past the interpreter's recursion limit of a fill
+        # that recursed once per entry
+        k = tuple(v for i in range(550, 0, -1) for v in (i, i))
+        rows = gmt_admissible_rows(k)
+        assert len(rows) == 550
+        assert rows[0][:5] == (550, 549, 549, 548, 548) and rows[-1][:5] == (550, 550, 549, 549, 548)
+        assert dmt_admissible_rows(k) == rows
 
     def test_matches_fragment_filter(self):
         # every candidate row over the box of the row's values, filtered by
