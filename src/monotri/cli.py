@@ -31,6 +31,7 @@ from .identities import (
 )
 from .report import VerificationReport, render_table
 from .rows import (
+    DEFAULT_LIMITS,
     BudgetExceededError,
     EnumerationLimits,
     count_triangles,
@@ -273,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_enum.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true", help="print only the number of objects")
     group.add_argument("--signed", action="store_true", help="print only the signed total")
-    p_enum.add_argument("--max-triangles", type=int, default=1_000_000)
-    p_enum.add_argument("--max-rows", type=int, default=10_000_000)
+    p_enum.add_argument("--max-triangles", type=int, default=DEFAULT_LIMITS.max_triangles)
+    p_enum.add_argument("--max-rows", type=int, default=DEFAULT_LIMITS.max_rows_generated)
     p_enum.set_defaults(func=cmd_enumerate)
 
     known = sorted(set(GRID_CHECKS) | set(CONJECTURES) | {"reduction", "ratio-scan", "all"})

@@ -161,7 +161,7 @@ def involution_step(obj: TnObject) -> TnObject | None:
     return partner
 
 
-def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> VerificationReport:
+def verify_reduction(bottom) -> VerificationReport:
     """Check the reduction of decorated triangles to generalized monotone
     triangles over one bottom row.
 
@@ -169,12 +169,12 @@ def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> Verific
     of opposite sign inside the enumerated set, that fixed points carry
     exactly the specials inferred from equal parents and map bijectively onto
     the generalized monotone triangles with matching sign statistics, and
-    that both signed totals agree.  ``limits=None`` means the default
-    budgets, ``DEFAULT_LIMITS``, for both streams.
+    that both signed totals agree.  Both streams run under the default
+    budgets, ``DEFAULT_LIMITS``.
     """
     bottom = tuple(bottom)
     started = time.perf_counter()
-    objects = list(enumerate_tn(bottom, limits))
+    objects = list(enumerate_tn(bottom))
     index = {o: pos for pos, o in enumerate(objects)}
     failures = []
 
@@ -192,7 +192,7 @@ def verify_reduction(bottom, limits: EnumerationLimits | None = None) -> Verific
         if involution_step(partner) != o:
             failures.append({"check": "involution", "object": repr(o)})
 
-    gmt_triangles = list(enumerate_gmt(bottom, limits))
+    gmt_triangles = list(enumerate_gmt(bottom))
     fixed_by_triangle = {}
     for o in fixed:
         if o.special != inferred_special_positions(o.triangle):

@@ -64,37 +64,37 @@ def _w_row(n: int, i: int) -> Row:
 # --- ASM quantities ----------------------------------------------------------
 
 
-def asm_number(n: int, method: str = "operator", cache: EvalCache | None = None) -> int:
+def asm_number(n: int) -> int:
     """Number of alternating sign matrices of size n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return alpha(staircase(n), method, cache)
+    return alpha(staircase(n))
 
 
-def refined_asm(n: int, i: int, method: str = "operator", cache: EvalCache | None = None) -> int:
+def refined_asm(n: int, i: int) -> int:
     """ASMs of size n whose first row has its 1 in column i."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 1 <= i <= n:
         raise ValueError(f"column index {i} outside 1..{n}")
-    return alpha(_refined_row(n, i), method, cache)
+    return alpha(_refined_row(n, i))
 
 
-def vsasm_number(n: int, method: str = "operator", cache: EvalCache | None = None) -> int:
+def vsasm_number(n: int) -> int:
     """Vertically symmetric ASMs of size 2n + 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return alpha(_even_staircase(n), method, cache)
+    return alpha(_even_staircase(n))
 
 
-def w_refinement(n: int, i: int, method: str = "operator", cache: EvalCache | None = None) -> int:
+def w_refinement(n: int, i: int) -> int:
     """Refinement family W(n, i): first staircase argument replaced by i in
     the doubled odd staircase; conjecturally symmetric under i -> 3n + 3 - i."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 1 <= i <= 3 * n + 2:
         raise ValueError(f"index {i} outside 1..{3 * n + 2}")
-    return alpha(_w_row(n, i), method, cache)
+    return alpha(_w_row(n, i))
 
 
 # --- the identities -----------------------------------------------------------
@@ -164,10 +164,10 @@ def _method_values(params: dict, values: dict, _) -> dict:
     return {"row": params["row"], "values": {m: str(v) for m, v in values.items()}}
 
 
-def _by_method(caches: dict[str, EvalCache], methods: Sequence[str] | None = None):
-    """Row -> value by method, over ``methods`` or every method that applies
-    to the row, each method with its cache from ``caches`` if there is one."""
-    return lambda row: {m: alpha(row, m, caches.get(m)) for m in methods or applicable_methods(row)}
+def _by_method(caches: dict[str, EvalCache]):
+    """Row -> value by method, over every method that applies to the row,
+    each method with its cache from ``caches`` if there is one."""
+    return lambda row: {m: alpha(row, m, caches.get(m)) for m in applicable_methods(row)}
 
 
 def _row_sum(p: dict, fn_at: Callable[[int], Evaluator], zero_on_triple_rows: bool = False) -> tuple[int, int]:
@@ -234,28 +234,26 @@ def check_shift_antisymmetry(k, i: int, method: str = "operator",
     return report
 
 
-def check_method_agreement(k, methods: Sequence[str] | None = None,
-                           caches: dict[str, EvalCache] | None = None) -> VerificationReport:
-    """All evaluation methods agree on the row.  Each recursive method uses
-    its own cache so the routes stay independent."""
+def check_method_agreement(k) -> VerificationReport:
+    """All evaluation methods that apply to the row agree on it.  Each
+    recursive method uses its own cache so the routes stay independent."""
     k = tuple(k)
-    methods = tuple(methods) if methods else applicable_methods(k)
     started = time.perf_counter()
-    _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method(caches or {}, methods), _method_values)
+    _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method({}), _method_values)
     return build_report("theorem1", f"single point {list(k)}", "proven", 1, failures,
-                        {"methods": list(methods)}, started)
+                        {"methods": list(applicable_methods(k))}, started)
 
 
 # --- the row-sum expansion of the summation operator -------------------------
 
 
-def hashed_row_function(seed: int, span: int = 20) -> Evaluator:
+def hashed_row_function(seed: int) -> Evaluator:
     """Deterministic pseudo-random integer function on rows, values in
-    [-span, span].  Stable across runs and processes."""
+    [-20, 20].  Stable across runs and processes."""
 
     def fn(row: Row) -> int:
         digest = hashlib.blake2b(repr((seed, row)).encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % (2 * span + 1) - span
+        return int.from_bytes(digest, "big") % 41 - 20
 
     return fn
 
@@ -357,7 +355,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
             identity = partial(identity, zero_on_triple_rows=zero_on_triple_rows)
             metadata = {"zero_on_triple_rows": zero_on_triple_rows}
     else:
-        ev = make_evaluator(method, EvalCache())
+        ev = make_evaluator(method)
         if name != "cyclic":
             extras = [{"i": i} for i in (i_values or range(1, n))]
     points = [{"row": list(row), **extra} for row in rows for extra in extras]
@@ -540,7 +538,7 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
         if name not in CONJECTURES:
             raise ValueError(f"unknown conjecture id {name!r}")
         family = CONJECTURES[name]
-        ev = make_evaluator(spec.method, EvalCache())
+        ev = make_evaluator(spec.method)
         started = time.perf_counter()
         if spec.n_values is not None:
             ns = [n for n in spec.n_values if n >= family.first_n]
@@ -569,7 +567,7 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
     if k < 4:
         raise ValueError("the insertion pattern needs k >= 4")
     started = time.perf_counter()
-    ev = make_evaluator(method, EvalCache())
+    ev = make_evaluator(method)
     ratios = {}
     for n in ns:
         if n < k:

@@ -83,7 +83,9 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
     value equal to the larger element of a strict descent requires an equal
     entry to its left, and a value equal to the smaller element of a strict
     descent forces the next entry to equal it (or is inadmissible at the
-    right edge).  A weakly increasing triple below forces l[j-1] < l[j], so
+    right edge).  So above a final descent by one, (b + 1, b), the last two
+    entries are both b + 1, and the fill keeps no other value before the
+    last position.  A weakly increasing triple below forces l[j-1] < l[j], so
     no row fits above three equal neighbours; such a row returns ``[]``
     before any prefix is built.  Above a row (a, b) of two entries these
     conditions leave the apexes a..b when a <= b and the values strictly
@@ -98,19 +100,25 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
         return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
     if has_equal_triple(k):
         return []
+    edge = m - 3 if k[-2] == k[-1] + 1 else None  # the position that must hold k[-2] too
 
     def allowed(j: int, p: tuple[int, ...]) -> Iterable[int]:
         a, b = k[j], k[j + 1]
         if not j:
-            return range(a, b + 1) if a <= b else range(b, a)
-        c, q = k[j - 1], p[-1]
-        if c > a == q:
-            values = p[-1:]  # forced; not (a,), so that entries stay the ints range made
-        elif a <= b:
-            values = range(max(a, q + 1) if c <= a else a, b + 1)
+            values = range(a, b + 1) if a <= b else range(b, a)
         else:
-            values = range(b + (j == m - 2), a + (q == a))
-        return [v for v in values if v != q] if j > 1 and p[-2] == q else values
+            c, q = k[j - 1], p[-1]
+            if c > a == q:
+                values = p[-1:]  # forced; not (a,), so that entries stay the ints range made
+            elif a <= b:
+                values = range(max(a, q + 1) if c <= a else a, b + 1)
+            else:
+                values = range(b + (j == m - 2), a + (q == a))
+            if j > 1 and p[-2] == q:
+                values = [v for v in values if v != q]
+        if j == edge:
+            return range(k[-2], k[-2] + 1) if k[-2] in values else ()
+        return values
 
     return _extend(m - 1, allowed)
 

@@ -33,8 +33,7 @@ def check_row(row, i: int) -> None:
     """Raise TypeError at the first entry of ``row`` (row ``i`` of a
     triangle) that is not an integer."""
     for v in row:
-        # the first test passes plain ints at once
-        if type(v) is not int and not _is_integer(v):
+        if not _is_integer(v):
             raise TypeError(f"non-integer entry {v!r} in row {i}")
 
 

@@ -442,6 +442,14 @@ class TestVerifyCommand:
         assert one.returncode == eight.returncode == 0
         assert one.stdout == eight.stdout
 
+    def test_time_budget_grows_an_auto_sized_grid(self, capsys):
+        # without a budget comb-rec checks n = 1, 2; those take far less than the
+        # 50 ms budget, so the grid goes on to n = 3 and beyond
+        assert main(["verify", "comb-rec", "--time-budget-secs", "0.05", "--format", "json"]) == 0
+        grid = json.loads(capsys.readouterr().out)["reports"][0]["grid"]
+        ns = json.loads(grid.removeprefix("n in "))
+        assert ns[:3] == [1, 2, 3] and ns == list(range(1, len(ns) + 1))
+
     def test_ratio_scan(self):
         proc = run_cli("verify", "ratio-scan", "--k", "4", "--n-range", "4..5",
                        "--format", "json")

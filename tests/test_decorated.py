@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ import monotri.decorated as decorated
 from monotri import (
     BudgetExceededError,
     EnumerationLimits,
+    TnObject,
     Triangle,
     alpha,
     enumerate_gmt,
@@ -22,8 +24,17 @@ from monotri import (
     validate_tn,
     verify_reduction,
 )
+from monotri.decorated import InternalConsistencyError
 from monotri.rows import DEFAULT_LIMITS
 from oracles import StreamBudgetError, s_brute, tn_generators, tn_objects_brute
+
+_involution_step = decorated.involution_step
+
+
+def _step_that_only_adds_specials(o):
+    """The involution on objects it gives a special more, else no partner."""
+    partner = _involution_step(o)
+    return partner if partner is not None and len(partner.special) > len(o.special) else None
 
 
 def as_pairs(objects):
@@ -225,6 +236,30 @@ class TestReduction:
             k = tuple(rng.randint(-1, 2) for _ in range(3))
             report = verify_reduction(k)
             assert report.status == "pass", (k, report.counterexample)
+
+    @pytest.mark.parametrize("check, name, fault", [
+        ("partner enumerated", "involution_step", lambda o: TnObject(Triangle([(0,), (0, 0)]))),
+        ("sign reversal", "involution_step", lambda o: o),
+        ("involution", "involution_step", _step_that_only_adds_specials),
+        ("specials inferred from parents", "inferred_special_positions", lambda t: frozenset({(9, 9)})),
+        ("fixed points biject onto triangles", "enumerate_gmt", lambda bottom: iter(())),
+        ("weight equals sign-change count", "sc_statistic", lambda t: SimpleNamespace(sc=-1)),
+    ])
+    def test_each_failed_check_is_reported(self, monkeypatch, check, name, fault):
+        monkeypatch.setattr(decorated, name, fault)
+        report = verify_reduction((4, 2, 1, 3))
+        assert report.status == "fail"
+        assert report.counterexample["check"] == check
+
+    def test_toggle_outside_the_class_is_an_internal_error(self, monkeypatch):
+        o = next(o for o in enumerate_tn((4, 2, 1, 3)) if involution_step(o) is not None)
+        monkeypatch.setattr(decorated, "_scan_position", lambda rows: (1, 1))
+        with pytest.raises(InternalConsistencyError, match=r"toggling \(1, 1\) broke the decoration"):
+            involution_step(o)
+        monkeypatch.undo()
+        monkeypatch.setattr(decorated, "validate_tn", lambda o: False)
+        with pytest.raises(InternalConsistencyError, match="left the decorated class"):
+            involution_step(o)
 
     def test_signed_totals_agree(self):
         for k in [(4, 2, 1, 3), (2, 0, 1), (1, 1, 1)]:

@@ -436,6 +436,14 @@ class TestEvalCache:
         with pytest.raises(ValueError, match="corrupt"):
             EvalCache().load(path)
 
+    def test_unparsable_record_under_a_valid_digest_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        self.write_cache_file(path, "2\t0,5\t6\n2\t0,x\t6\n")
+        cache = EvalCache()
+        with pytest.raises(ValueError, match=r"corrupt cache record: '2\\t0,x\\t6'"):
+            cache.load(path)
+        assert len(cache) == 0
+
     def test_unnormalized_key_rejected(self, tmp_path):
         path = tmp_path / "cache.tsv"
         for normalize in (1, 0):
@@ -549,6 +557,17 @@ class TestEvalCache:
         assert header.startswith("monotri-cache v2 route=operator normalize=1 sha256=")
         assert list(tmp_path.iterdir()) == [path]
         assert EvalCache().load(path) == len(cache)
+
+    def test_failed_save_removes_its_temporary_file(self, tmp_path):
+        # renaming a file over a directory fails after the file was written
+        path = tmp_path / "cache.tsv"
+        path.mkdir()
+        cache = EvalCache()
+        alpha((4, 2, 1, 3), "operator", cache)
+        with pytest.raises(IsADirectoryError):
+            cache.save(path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
 
 
 class TestRowSumExpansion:

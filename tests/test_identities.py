@@ -24,7 +24,7 @@ from monotri import (
     vsasm_number,
     w_refinement,
 )
-from monotri.identities import staircase
+from monotri.identities import grid_rows, staircase
 from monotri.report import build_report
 from oracles import mt_count_brute
 from test_failing_reports import off_by_one
@@ -56,6 +56,16 @@ class TestAsmChain:
             refined_asm(3, 4)
         with pytest.raises(ValueError):
             asm_number(0)
+
+    def test_sizes_below_each_family_are_rejected(self):
+        for call, smallest in ((lambda: refined_asm(1, 1), 2), (lambda: vsasm_number(0), 1),
+                               (lambda: w_refinement(0, 1), 1)):
+            with pytest.raises(ValueError, match=f"n must be at least {smallest}"):
+                call()
+
+    def test_empty_grid_window_is_rejected(self):
+        with pytest.raises(ValueError, match="empty window"):
+            grid_rows(3, (2, 1), 10, 0, False)
 
     def test_vertically_symmetric_counts(self):
         assert [vsasm_number(n) for n in (1, 2, 3)] == [1, 3, 26]

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from enum import IntEnum
 from itertools import islice, product
 
@@ -86,6 +87,15 @@ class TestGmtAdmissibleRows:
         assert gmt_admissible_rows((0, 40, 80, 120, 160, 200, 200, 200)) == []
         assert count_triangles("gmt", (0, 40, 80, 120, 160, 200, 200, 200)) == 0
 
+    def test_wide_row_ending_in_a_descent_by_one_is_filled_without_dead_prefixes(self):
+        # only 300 fits at the right edge, after another 300; a fill that kept
+        # every prefix would build about 10**6 rows of three entries first
+        started = time.perf_counter()
+        rows = gmt_admissible_rows((0, 100, 200, 300, 299))
+        assert time.perf_counter() - started < 0.3
+        assert len(rows) == 10_200
+        assert all(row[-2:] == (300, 300) for row in rows)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             gmt_admissible_rows((5,))
@@ -98,6 +108,10 @@ class TestGmtAdmissibleRows:
         rng = random.Random(42)
         rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for n in (2, 3, 4, 5) for _ in range(30)]
         rows += [(4, 2, 1, 3), (2, 4, 0), (0, 3, 3, -1), (2, 0, 3, 0), (1, 1, 1, 1)]
+        # rows that end in a descent by one, where the fill keeps one value left of the edge
+        rows += [(1, 0), (0, 4, 3), (4, 4, 3), (5, 0, 3, 2), (-2, 3, 3, 2), (1, 4, 0, 4, 3), (0, 4, 2, 2, 1)]
+        heads = [tuple(rng.randint(-4, 4) for _ in range(n)) for n in (2, 3, 4) for _ in range(20)]
+        rows += [k + (k[-1] - 1,) for k in heads]
         for k in rows:
             got = [(row, row_sign_changes(k, row)) for row in gmt_admissible_rows(k)]
             assert got == brute_admissible(k), k
@@ -130,6 +144,10 @@ class TestMtAdmissibleRows:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
             mt_admissible_rows((2, 2))
+
+    def test_one_entry_rejected(self):
+        with pytest.raises(ValueError, match="at least two entries"):
+            mt_admissible_rows((5,))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-5, 8), min_size=2, max_size=7, unique=True))

@@ -1,5 +1,6 @@
-"""The test settings of ``pyproject.toml`` themselves."""
+"""The test settings of ``pyproject.toml`` and the root ``conftest.py`` themselves."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,9 @@ def test_a_failing_property_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_the_session_writes_no_bytecode():
+    # set by the root conftest.py before any test module is imported
+    assert sys.dont_write_bytecode
+    assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"

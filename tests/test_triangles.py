@@ -256,6 +256,13 @@ class TestDecoratedObjects:
         assert not validate_tn(TnObject(t, [(3, 2)]))
         assert validate_tn(TnObject(t, [(3, 2), (4, 2)]))
 
+    def test_special_off_its_parents_is_rejected(self):
+        # the special entry 2 at (3, 2) has parents 1 and 3
+        assert not validate_tn(TnObject(Triangle([(2,), (1, 3), (1, 2, 3)]), [(3, 2)]))
+
+    def test_entry_outside_a_weakly_increasing_pair_is_rejected(self):
+        assert not validate_tn(TnObject(Triangle([(5,), (1, 2)])))
+
     def test_inferred_specials(self):
         assert inferred_special_positions(FOUR_GMTS[0]) == frozenset({(3, 2), (4, 2)})
         assert inferred_special_positions(FOUR_GMTS[3]) == frozenset({(3, 2), (4, 3)})
