@@ -121,8 +121,7 @@ def cmd_enumerate(args) -> int:
     to_json = tn_to_json if args.klass == "tn" else triangle_to_json
     # One memo of row texts for this command: each distinct row is encoded once.
     texts = RowTexts()
-    for obj in factory(row, limits):
-        print(to_json(obj, texts))
+    sys.stdout.writelines(to_json(obj, texts) + "\n" for obj in factory(row, limits))
     return 0
 
 

@@ -23,6 +23,7 @@ from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumer
 from .triangles import (
     Position,
     StreamRows,
+    StreamSpecials,
     TnObject,
     Triangle,
     check_row,
@@ -105,7 +106,7 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
     """
     for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
         rows, specials, _ = zip(*reversed(path))
-        yield TnObject(Triangle(StreamRows(rows)), chain.from_iterable(specials))
+        yield TnObject(Triangle(StreamRows(rows)), StreamSpecials(chain.from_iterable(specials)))
 
 
 def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int]:

@@ -165,8 +165,11 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
             limits: EnumerationLimits) -> Iterator[Triangle]:
     """Depth-first walk over an explicit stack: ``path`` holds the rows from
     the bottom up, ``pending`` an iterator over the rows still to try above
-    each of them.  Expanding a row charges its admissible rows to the row
-    budget; each triangle charges one to the triangle budget before it is
+    each of them.  The rows above a row depend on that row alone, so each
+    distinct row is filled once and its list kept for the rest of the
+    stream.  Every visit to a row, filled or kept, charges its admissible
+    rows to the row budget, so the kept lists hold no more rows than were
+    charged; each triangle charges one to the triangle budget before it is
     yielded."""
     if not bottom:
         raise ValueError("the bottom row must not be empty")
@@ -177,9 +180,12 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
         return
     path = [bottom]
     pending = []
+    filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     while True:
         top = path[-1]
-        above = expand(top)
+        above = filled.get(top)
+        if above is None:
+            above = filled[top] = expand(top)
         rows_left -= len(above)
         if rows_left < 0:
             raise BudgetExceededError("row generation budget exhausted")

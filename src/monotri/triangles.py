@@ -45,6 +45,14 @@ class StreamRows(tuple):
     __slots__ = ()
 
 
+class StreamSpecials(tuple):
+    """Special positions that the decorated stream chose in each row i, from
+    the boxes of :func:`~monotri.evaluate.third_families` above it: ints
+    (i, j) with 1 < j < i, no two adjacent, by construction."""
+
+    __slots__ = ()
+
+
 class Triangle:
     """Immutable triangular integer array, row i (from the top) has i entries.
 
@@ -224,7 +232,8 @@ class TnObject:
     """Triangle decorated with a set of special interior positions.
 
     Special positions (i, j) are ints with 1 < j < i <= n, no two in a row
-    horizontally adjacent; all of this is enforced at construction.
+    horizontally adjacent; all of this is enforced at construction, except
+    on the stream's :class:`StreamSpecials`, which are taken as given.
     Full membership in the decorated class (specials equal both parents,
     non-exempt entries bounded by the pair below) is checked separately by
     :func:`validate_tn`.
@@ -234,6 +243,9 @@ class TnObject:
 
     def __init__(self, triangle, special=()):
         self.triangle = triangle if isinstance(triangle, Triangle) else Triangle(triangle)
+        if type(special) is StreamSpecials:
+            self.special = frozenset(special)
+            return
         spec = frozenset((i, j) for i, j in special)
         n = self.triangle.n
         for i, j in spec:

@@ -12,6 +12,7 @@ import monotri.rows
 from monotri import (
     BudgetExceededError,
     EnumerationLimits,
+    TnObject,
     Triangle,
     count_triangles,
     dmt_admissible_rows,
@@ -390,6 +391,21 @@ class TestFlatStream:
                        EnumerationLimits(max_rows_generated=1), EnumerationLimits(max_rows_generated=40)):
             triangles, error = _drain(enumerate_mt(bottom, limits))
             assert ([t.rows for t in triangles], error) == _reference("mt", bottom, limits)
+        # rows met again take their kept fill, and each visit still charges it
+        for klass, bottom in (("gmt", (2, 2, 1, 3, 3)), ("dmt", (9, 7, 5, 3, 1, 0, 0))):
+            charges = []
+
+            def charged(row, expand=EXPANSIONS[klass]):
+                above = expand(row)
+                charges.append(len(above))
+                return above
+
+            _drain(stream_generators(bottom, charged, 10**9, 10**9))
+            for max_rows, error in ((sum(charges), None), (sum(charges) - 1, "row generation budget exhausted")):
+                limits = EnumerationLimits(max_rows_generated=max_rows)
+                triangles, got = _drain(STREAMS[klass](bottom, limits))
+                assert got == error
+                assert ([t.rows for t in triangles], got) == _reference(klass, bottom, limits)
 
     def test_single_entry_bottom_ignores_the_row_budget(self):
         limits = EnumerationLimits(max_rows_generated=1, max_triangles=1)
@@ -486,17 +502,24 @@ class TestCountTriangles:
             return mt_admissible_rows(row)
 
         monkeypatch.setattr(monotri.rows, "mt_admissible_rows", counted)
+        bottom = (2, 4, 5, 8, 9)
         for limits in (None, EnumerationLimits(max_triangles=5000), EnumerationLimits(max_rows_generated=900)):
             calls.clear()
-            _drain(enumerate_mt((2, 4, 5, 8, 9), limits))
+            _drain(enumerate_mt(bottom, limits))
             streamed = list(calls)
             calls.clear()
             try:
-                count_triangles("mt", (2, 4, 5, 8, 9), limits)
+                count_triangles("mt", bottom, limits)
             except BudgetExceededError:
                 pass
-            assert len(calls) < len(streamed)
+            # the stream fills each distinct row once
+            assert len(set(streamed)) == len(streamed)
             assert set(calls) <= set(streamed)
+            if limits is None:
+                assert calls == streamed
+            else:
+                # the count re-enters only rows whose stored totals no longer fit
+                assert len(calls) - len(set(calls)) < len(bottom)
 
     def test_mt_walk_takes_no_sign(self, monkeypatch):
         # a strictly increasing row has no descent and no equal neighbours
@@ -590,3 +613,6 @@ def test_streamed_triangles_equal_the_checked_ones(klass, entries):
         assert type(t.rows) is tuple and all(type(row) is tuple for row in t.rows)
         assert t == Triangle([list(row) for row in t.rows])
         assert t.bottom_row == bottom
+        if klass == "tn":
+            assert item == TnObject([list(row) for row in t.rows], sorted(item.special))
+            assert type(item.special) is frozenset
