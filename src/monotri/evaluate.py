@@ -36,7 +36,7 @@ from math import prod
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
-from .triangles import is_strictly_increasing
+from .triangles import has_equal_triple, is_strictly_increasing
 
 METHODS = ("operator", "operator_alt", "gmt", "third", "mt")
 
@@ -95,6 +95,17 @@ def _pinned_keys(values: range, tail) -> Iterator[Row]:
 # to the walk; with an EvalCache the leaves are the cache's rows, so the memo
 # lives on the cache and later rows reuse the states that earlier rows
 # expanded.
+#
+# With an EvalCache some leaves and states have a known value and are not
+# expanded or looked up.  A leaf (a, b) is worth b - a + 1 on both operator
+# routes.  Two more rules hold on the operator route alone, so that
+# operator_alt and third, which use neither, check them.  A row with three
+# equal neighbours is worth 0, since no generalized monotone triangle row fits
+# above them, and so is a state whose s[j:] holds three, since every leaf
+# below it keeps s[j:]; as every descendant keeps s[j:], three equal
+# neighbours can only close at the entry a child fixes last.  And a row that
+# misses is looked up reflected, alpha(k) = alpha(-k_n, ..., -k_1), before it
+# is expanded.
 
 
 def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
@@ -122,8 +133,22 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     lookups of rows count as cache hits and misses: each is a leaf of a state
     or a row of a box the walk expands.  A row of length 1 is worth 1 and is
     not looked up.
+
+    With a cache the operator routes settle a leaf of length 2 in closed
+    form, summing a state's leaves (x, t) as an arithmetic series.  The
+    operator route also settles by rule the rows and states with three equal
+    neighbours (see the comment above); it checks the whole row ``k`` once
+    and then only the entry each child fixes, at s[j:j+3] for a state and at
+    the first three entries of a leaf row.  On a miss it looks the row up
+    reflected before expanding it.  A row settled by rule counts as neither a
+    hit nor a miss, and a row found reflected counts as a hit.  On the third
+    route a box of one row is looked up at once, as the operator routes look
+    up their pinned child.
     """
     alt, third = route == "operator_alt", route == "third"
+    pruned = route == "operator" and cache is not None
+    if pruned and has_equal_triple(k):
+        return 0
     memos = [{} for _ in k] if cache is None else cache._states
     store = {} if cache is None else cache._store
     lookups, misses, stack = 1, 0, []
@@ -135,17 +160,37 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
         while True:
             for child in keys:
                 value = get(child)
+                if value is None and pruned:
+                    # Only the entry fixed last can close three equal
+                    # neighbours: the ancestors cleared the others.
+                    if d is not store:
+                        if len(child) > j + 2 and child[j] == child[j + 1] == child[j + 2]:
+                            value = 0
+                    elif child[1:3] == (0, 0):
+                        value, lookups = 0, lookups - 1
+                    else:
+                        value = get(tuple([child[-1] - v for v in reversed(child)]))
                 if value is None:
                     misses += d is store
                     stack.append((target, key, total, groups, keys, sign, d, j))
                     target, key, total, groups = d, child, 0, []
                     if third:
                         for _, ranges, sign in third_families(child):
+                            size = prod(map(len, ranges))
                             if len(ranges) == 1:
-                                total += sign * len(ranges[0])
-                            else:
-                                lookups += prod(map(len, ranges))
+                                total += sign * size
+                            elif size > 1:
+                                lookups += size
                                 groups.append((sign, store, _box_keys(ranges), len(ranges)))
+                            else:
+                                # A box of one row, looked up at once: only a miss makes it a group.
+                                lookups += 1
+                                row = tuple([r.start - ranges[0].start for r in ranges])
+                                value = store.get(row)
+                                if value is None:
+                                    groups.append((sign, store, iter((row,)), len(ranges)))
+                                else:
+                                    total += sign * value
                         groups, keys = iter(groups), iter(())
                         break
                     # The summed branch, then the pinned or doubled one.
@@ -160,6 +205,9 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                         total += sign * sum([fn((x,) + tail) for x in values])
                     elif not tail:
                         total += sign * len(values)
+                    elif len(tail) == 1:
+                        # Rows (x, t) are worth t - x + 1: an arithmetic series.
+                        total += sign * (len(values) * (2 * tail[0] + 3 - values.start - values.stop) // 2)
                     elif values:
                         lookups += len(values)
                         groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
@@ -175,6 +223,8 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                             dest, total = None, total + sign * fn(other[1:])
                         elif len(other) == 2:
                             dest, total = None, total + sign
+                        elif len(other) == 3:
+                            dest, total = None, total + sign * (other[2] - other[1] + 1)
                         else:
                             dest, i, lookups = store, len(other) - 1, lookups + 1
                             other = tuple([v - other[1] for v in other[1:]])
@@ -251,6 +301,13 @@ class EvalCache:
     routes expand (see :func:`_chain`), one dict per j, keyed like rows.
     They live as long as the cache, so later calls reuse them, and they are
     never saved or loaded: a cache file holds rows only.
+
+    The rows a route settles by rule are not stored (see :func:`_chain`):
+    the operator routes store no row of length 2 below the row asked for,
+    and the operator route no row with three equal neighbours and at most one
+    of a row and its reflection.  Their cache files hold fewer records than
+    files written before these rules; such older files still load, since
+    every record in them holds the same value.
 
     ``route`` names the evaluation method whose values the cache holds.  A
     saved cache file starts with the header line

@@ -273,6 +273,10 @@ def memo_closures(row, cache, apply):
 _STATES = WeakKeyDictionary()
 
 
+def _three_equal(r):
+    return any(len(set(r[j:j + 3])) == 1 for j in range(len(r) - 2))
+
+
 def chain_closures(row, cache, alt=False):
     """The polynomial at ``row`` by the chain states of the operator
     recursion (``alt`` for the alternative one), as memoized closures: a
@@ -281,22 +285,37 @@ def chain_closures(row, cache, alt=False):
     (1, s) the polynomial at s[1:].  Rows are memoized in ``cache`` through
     :func:`_cache_get` and :func:`_cache_put`, states in a dict under (j, s
     translated to start at 0) that is kept per cache, so later calls on the
-    same cache reuse the states of earlier ones."""
+    same cache reuse the states of earlier ones.
+
+    Some values are known without a lookup, as the chain kernel knows them:
+    a leaf (a, b) is b - a + 1 on both recursions; on the operator
+    recursion (not ``alt``) a row, or a state whose s[j:], holds three equal
+    neighbours is 0, and a row that misses is looked up once more reflected,
+    (-r_n, ..., -r_1), a hit if found there."""
     states = _STATES.setdefault(cache, {})
+    rules = not alt
 
     def ev(r):
         if len(r) == 1:
             return 1
-        cached = _cache_get(cache, r)
+        if rules and _three_equal(r):
+            return 0
+        cached = cache._store.get(_translated(r))
+        if cached is None and rules:
+            cached = cache._store.get(_translated(tuple(-v for v in reversed(r))))
         if cached is not None:
+            cache.hits += 1
             return cached
+        cache.misses += 1
         value = state(len(r), r)
         _cache_put(cache, r, value)
         return value
 
     def state(j, s):
         if j == 1:
-            return ev(s[1:])
+            return s[2] - s[1] + 1 if len(s) == 3 else ev(s[1:])
+        if rules and _three_equal(s[j:]):
+            return 0
         key = (j, tuple(v - s[0] for v in s))
         if key in states:
             return states[key]

@@ -75,6 +75,18 @@ class TestAlphaCommand:
         proc = run_cli("alpha", "--row", "7")
         assert proc.stdout == "1\n"
 
+    def test_wide_row_of_three_in_closed_form(self, capsys):
+        # The rows above (0, a, b) are (y, z) with 0 <= y <= a <= z <= b,
+        # y < z, and the apexes above (y, z) number z - y + 1: summed over z
+        # that is an arithmetic series, so the count costs O(a).
+        a, b = 10000, 20000
+        width = b - a + 1
+        expected = sum(width * (a + b) // 2 + width * (1 - y) for y in range(a + 1)) - 1
+        started = time.perf_counter()
+        assert main(["alpha", "--row", f"0,{a},{b}"]) == 0
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().out == f"{expected}\n"
+
     def test_all_methods_four_equal_lines(self):
         proc = run_cli("alpha", "--row", "4,2,1,3", "--all-methods")
         assert proc.returncode == 0
