@@ -283,9 +283,9 @@ def chain_closures(row, cache, alt=False):
     state (j, s) is the operator over s[:j] applied to the polynomial with
     its last arguments fixed to s[j:], (len(r), r) is the polynomial at r and
     (1, s) the polynomial at s[1:].  Rows are memoized in ``cache`` through
-    :func:`_cache_get` and :func:`_cache_put`, states in a dict under (j, s
-    translated to start at 0) that is kept per cache, so later calls on the
-    same cache reuse the states of earlier ones.
+    :func:`_cache_put`, each lookup counted as a hit or a miss, states in a
+    dict under (j, s translated to start at 0) that is kept per cache, so
+    later calls on the same cache reuse the states of earlier ones.
 
     Some values are known without a lookup, as the chain kernel knows them:
     a leaf (a, b) is b - a + 1 on both recursions; on the operator
