@@ -126,14 +126,12 @@ def cmd_enumerate(args) -> int:
 
 
 def _n_values(args) -> tuple[int, ...] | None:
-    if args.n_range is not None:
-        lo, hi = parse_window(args.n_range)
-        if lo > hi:
-            raise ValueError(f"empty --n-range {args.n_range}")
-        return tuple(range(lo, hi + 1))
-    if args.n is not None:
-        return (args.n,)
-    return None
+    if args.n_range is None:
+        return None if args.n is None else (args.n,)
+    lo, hi = parse_window(args.n_range)
+    if lo > hi:
+        raise ValueError(f"empty --n-range {args.n_range}")
+    return tuple(range(lo, hi + 1))
 
 
 def _emit(reports: list[VerificationReport], fmt: str) -> None:
@@ -166,17 +164,27 @@ _VERIFY_READS = {
     "all": (_GRID_OPTIONS - {"n"}) | {"i", "method", "zero_triple_rows", "row", "time_budget_secs"},
     **dict.fromkeys(CONJECTURES, frozenset({"n", "n_range", "method", "time_budget_secs"})),
 }
+# The options that another option replaces: --n-range replaces --n, a family
+# grows only a grid it sizes itself, and reduction --row checks no grid.
+_FAMILY_REPLACES = {"n_range": {"n", "time_budget_secs"}, "n": {"time_budget_secs"}}
+_VERIFY_REPLACES = {"ratio-scan": {"n_range": {"n"}}, "reduction": {"row": _GRID_OPTIONS},
+                    **dict.fromkeys(CONJECTURES, _FAMILY_REPLACES)}
 
 
 def _check_verify_options(args, default: Callable[[str], object]) -> None:
-    """Reject an option the chosen check does not read, and an ``--i``
-    outside the positions 1..n-1 of the rows it checks."""
+    """Reject an option the chosen check does not read, alone or beside an
+    option that replaces it, and an ``--i`` outside the positions 1..n-1."""
     name = args.identity
     reads = _VERIFY_READS[name] | {"format", "jobs"}
-    ignored = [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
-               if dest not in reads | {"command", "identity", "func"} and value != default(dest)]
+    given = {dest: f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+             if dest not in {"command", "identity", "func"} and value != default(dest)}
+    ignored = [flag for dest, flag in given.items() if dest not in reads]
     if ignored:
         raise ValueError(f"{name} does not read {', '.join(ignored)}")
+    for dest, dests in _VERIFY_REPLACES.get(name, {}).items():
+        ignored = [flag for other, flag in given.items() if other in dests]
+        if ignored and dest in given:
+            raise ValueError(f"{name} does not read {', '.join(ignored)} with {given[dest]}")
     if args.i is not None:
         n = args.n if args.n is not None else 3
         if not 1 <= args.i <= n - 1:

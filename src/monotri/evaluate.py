@@ -15,9 +15,9 @@ provided and must agree wherever they apply:
 
 The operator, operator_alt and third routes write the polynomial at a row
 as a signed sum of its values at shorter rows, which they memoize in an
-:class:`EvalCache`.  One kernel, :func:`_chain`, walks all three without
-recursing: the operator routes expand a row into chain states, the third
-route into boxes, products of ranges.
+:class:`EvalCache`.  One kernel, :func:`_chain`, walks the two operator
+routes without recursing; :func:`_third` recurses over the third route's
+boxes, products of ranges, at most one level per entry.
 
 All arithmetic is arbitrary-precision integer; there is no floating point in
 any value path.
@@ -32,7 +32,6 @@ import tempfile
 from collections import defaultdict
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
-from math import prod
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
@@ -40,8 +39,8 @@ from .triangles import has_equal_triple, is_strictly_increasing
 
 METHODS = ("operator", "operator_alt", "gmt", "third", "mt")
 
-# Rows longer than this are rejected up front: evaluation cost grows
-# super-exponentially and silently recursing would only hide the problem.
+# Rows longer than this are rejected up front: the bound caps the evaluation
+# cost, which grows super-exponentially, and the depth of the third route.
 MAX_EVAL_LENGTH = 64
 
 Row = tuple[int, ...]
@@ -99,7 +98,7 @@ def _pinned_keys(values: range, tail) -> Iterator[Row]:
 # With an EvalCache some leaves and states have a known value and are not
 # expanded or looked up.  A leaf (a, b) is worth b - a + 1 on both operator
 # routes.  Two more rules hold on the operator route alone, so that
-# operator_alt and third, which use neither, check them.  A row with three
+# the other routes, which use neither, check them.  A row with three
 # equal neighbours is worth 0, since no generalized monotone triangle row fits
 # above them, and so is a state whose s[j:] holds three, since every leaf
 # below it keeps s[j:]; as every descendant keeps s[j:], three equal
@@ -118,12 +117,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     key, and so do their children, which keep the first entry; that is exact
     because a translated state has the translated children.  Their values
     are kept in ``cache``'s state dicts, so every call on that cache shares
-    them; without a cache they are kept for this call only.  On the third
-    route a missed row expands into the boxes of its inclusion-exclusion
-    expansion instead (:func:`third_families`), each a group of row keys in
-    product order, except that a box of rows of length 1 adds its signed size
-    without lookups; that is exact because the boxes of a translated row are
-    the translated boxes.
+    them; without a cache they are kept for this call only.
 
     An explicit stack replaces the recursion.  A frame is the dict and key
     its value goes to, its running total, its remaining groups of children,
@@ -131,8 +125,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     sign, dict and j.  A miss suspends the group until the missed key is
     evaluated.  The whole operator is the one child of a root frame.  Only
     lookups of rows count as cache hits and misses: each is a leaf of a state
-    or a row of a box the walk expands.  A row of length 1 is worth 1 and is
-    not looked up.
+    the walk expands.  A row of length 1 is worth 1 and is not looked up.
 
     With a cache the operator routes settle a leaf of length 2 in closed
     form, summing a state's leaves (x, t) as an arithmetic series.  The
@@ -141,11 +134,9 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     and then only the entry each child fixes, at s[j:j+3] for a state and at
     the first three entries of a leaf row.  On a miss it looks the row up
     reflected before expanding it.  A row settled by rule counts as neither a
-    hit nor a miss, and a row found reflected counts as a hit.  On the third
-    route a box of one row is looked up at once, as the operator routes look
-    up their pinned child.
+    hit nor a miss, and a row found reflected counts as a hit.
     """
-    alt, third = route == "operator_alt", route == "third"
+    alt = route == "operator_alt"
     pruned = route == "operator" and cache is not None
     if pruned and has_equal_triple(k):
         return 0
@@ -174,25 +165,6 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     misses += d is store
                     stack.append((target, key, total, groups, keys, sign, d, j))
                     target, key, total, groups = d, child, 0, []
-                    if third:
-                        for _, ranges, sign in third_families(child):
-                            size = prod(map(len, ranges))
-                            if len(ranges) == 1:
-                                total += sign * size
-                            elif size > 1:
-                                lookups += size
-                                groups.append((sign, store, _box_keys(ranges), len(ranges)))
-                            else:
-                                # A box of one row, looked up at once: only a miss makes it a group.
-                                lookups += 1
-                                row = tuple([r.start - ranges[0].start for r in ranges])
-                                value = store.get(row)
-                                if value is None:
-                                    groups.append((sign, store, iter((row,)), len(ranges)))
-                                else:
-                                    total += sign * value
-                        groups, keys = iter(groups), iter(())
-                        break
                     # The summed branch, then the pinned or doubled one.
                     second, last = child[j - 2], child[j - 1]
                     tail = child[j:]
@@ -450,15 +422,32 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
 
 def _box_keys(ranges: tuple[range, ...]) -> Iterator[Row]:
     """Memo keys of the rows of one box, in product order, translated to
-    start at 0, built in C: the pinned keys when every position after the
-    first is pinned, and otherwise one product of shifted ranges per value
-    of the first position."""
-    first, rest = ranges[0], ranges[1:]
-    if all(len(r) == 1 for r in rest):
-        return _pinned_keys(first, [r.start for r in rest])
+    start at 0, built in C: one product of shifted ranges per value of the
+    first position."""
     return chain.from_iterable(
-        product((0,), *[range(r.start - v, r.stop - v) for r in rest])
-        for v in first)
+        product((0,), *[range(r.start - v, r.stop - v) for r in ranges[1:]])
+        for v in ranges[0])
+
+
+def _third(key: Row, cache: EvalCache) -> int:
+    """The polynomial at the translation-normalized row ``key``, of length 2
+    or more, as the signed sum over the boxes of :func:`third_families`,
+    memoized in ``cache``; exact because a translated row has the translated
+    boxes.  Every row of a box is one entry shorter, so the recursion is at
+    most ``len(key)`` deep."""
+    value = cache._store.get(key)
+    if value is not None:
+        cache.hits += 1
+        return value
+    cache.misses += 1
+    total = 0
+    for _, ranges, sign in third_families(key):
+        if len(ranges) == 1:
+            total += sign * len(ranges[0])
+        else:
+            total += sign * sum(_third(row, cache) for row in _box_keys(ranges))
+    cache._store[key] = total
+    return total
 
 
 def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
@@ -486,6 +475,8 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     cache.route = method
     if len(row) == 1:
         return 1
+    if method == "third":
+        return _third(cache._key(row), cache)
     return _chain(row, method, cache=cache)
 
 

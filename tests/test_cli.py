@@ -401,6 +401,14 @@ class TestVerifyCommand:
             (["neighbor-split", "--n", "3", "--i", "3"], "--i 3 outside the positions 1..2 of neighbor-split"),
             (["shift-antisym", "--n", "4", "--i", "0"], "--i 0 outside the positions 1..3 of shift-antisym"),
             (["all", "--i", "3"], "--i 3 outside the positions 1..2 of all"),
+            (["ratio-scan", "--k", "4", "--n", "5", "--n-range", "4..5"], "ratio-scan does not read --n with --n-range"),
+            (["rev-dup", "--n", "3", "--n-range", "2..3"], "rev-dup does not read --n with --n-range"),
+            (["rev-dup", "--n", "3", "--time-budget-secs", "5"], "rev-dup does not read --time-budget-secs with --n"),
+            (["comb-rec", "--n-range", "3..4", "--time-budget-secs", "5"],
+             "comb-rec does not read --time-budget-secs with --n-range"),
+            (["reduction", "--row", "4,2,1,3", "--n", "4"], "reduction does not read --n with --row"),
+            (["reduction", "--row", "4,2,1,3", "--window", "0..3", "--samples", "5", "--seed", "3", "--exhaustive"],
+             "reduction does not read --window, --samples, --seed, --exhaustive with --row"),
         ]:
             assert main(["verify", *argv]) == 2, argv
             captured = capsys.readouterr()
@@ -411,6 +419,17 @@ class TestVerifyCommand:
         argv = ["rev-dup", "--n", "2", "--samples", "100", "--functions", "10", "--jobs", "8", "--format", "json"]
         assert main(["verify", *argv]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    def test_option_table_covers_every_check(self):
+        # A check missing from the table would end verify with a KeyError
+        # traceback, and a misspelt option name would never be read.
+        parser = monotri.cli.build_parser()
+        verify = next(action for action in parser._actions if action.dest == "command").choices["verify"]
+        dests = {action.dest for action in verify._actions}
+        identity = next(action for action in verify._actions if action.dest == "identity")
+        assert set(monotri.cli._VERIFY_READS) == set(identity.choices)
+        for name, reads in monotri.cli._VERIFY_READS.items():
+            assert reads <= dests, (name, reads - dests)
 
     def test_exhaustive_grid_ignores_samples(self, capsys):
         assert main(["verify", "cyclic", "--n", "2", "--window", "0..1", "--exhaustive",

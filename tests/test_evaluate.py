@@ -174,11 +174,10 @@ walked_rows = st.tuples(st.integers(-6, 6), st.lists(st.integers(-3, 3), max_siz
 
 
 class TestMemoKernel:
-    """The memo kernel on each of its three routes against the memoized
-    closure recursions: the same values, and the same memo entries, hits and
-    misses as the recursion it unrolls (the chain states for the operator
-    routes, with the rules the kernel settles rows by, and the boxes for
-    third)."""
+    """The three memo routes against the memoized closure recursions: the
+    same values, and the same memo entries, hits and misses as the recursion
+    they follow (the chain states that the kernel unrolls for the operator
+    routes, with the rules it settles rows by, and the boxes for third)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(bound, min_size=1, max_size=5))
@@ -265,8 +264,8 @@ class TestMemoKernel:
             assert cache.hits == hits
 
     def test_box_keys_in_product_order(self):
-        # Boxes whose positions after the first are pinned take the zip of
-        # ranges; the others a product per first value.  Same keys either way.
+        # One key form, a product per first value, whether the positions
+        # after the first are pinned or free.
         for ranges in [(range(-3, 4), range(2, 3)), (range(5, 6), range(0, 1), range(-7, -6)),
                        (range(0, 1000), range(9, 10), range(-2, -1)), (range(1, 4), range(0, 2), range(5, 6)),
                        (range(2, 3), range(-1, 3))]:
@@ -306,6 +305,21 @@ class TestMemoKernel:
             assert alpha(tuple(range(1, 9)), "third") == 10850216
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_third_recurses_one_level_per_entry(self):
+        # Every row of a box of third is one entry shorter, so its recursion
+        # is at most as deep as the row is long.
+        row = (0,) * 16
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 3 * len(row) + 20)
+        try:
+            cache = EvalCache()
+            assert alpha(row, "third", cache) == 0
+        finally:
+            sys.setrecursionlimit(limit)
+        reference = EvalCache()
+        assert third_closures(row, reference) == 0
+        assert counters(cache) == counters(reference)
 
     def test_wide_pair_costs_no_lookups(self):
         cache = EvalCache()
