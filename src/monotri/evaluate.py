@@ -10,8 +10,8 @@ provided and must agree wherever they apply:
                        operator (:func:`operator_apply_alt`);
 * ``gmt``           -- signed enumeration over generalized monotone triangles;
 * ``third``         -- the inclusion-exclusion expansion into simple sums;
-* ``mt``            -- direct monotone-triangle counting, strictly increasing
-                       rows only.
+* ``mt``            -- strictly increasing rows only: the walk of ``enumerate mt
+                       --count`` under the default budgets, building no triangle.
 
 The operator, operator_alt and third routes write the polynomial at a row
 as a signed sum of its values at shorter rows, which they memoize in an
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterator
 
-from .rows import BudgetExceededError, enumerate_mt, signed_gmt_count
+from .rows import BudgetExceededError, count_triangles, enumerate_mt, signed_gmt_count  # noqa: F401 bench/tracing.py patches enumerate_mt here
 from .triangles import has_equal_triple, is_strictly_increasing
 
 METHODS = ("operator", "operator_alt", "gmt", "third", "mt")
@@ -453,19 +453,18 @@ def _third(key: Row, cache: EvalCache) -> int:
 def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
     """Evaluate the counting polynomial at an integer row by the given method.
 
-    All methods agree; ``mt`` requires a strictly increasing row.  ``cache``
-    memoizes sub-evaluations for the recursive methods and may be shared
-    across calls of one method; results are identical with or without one.
-    An empty cache, one without rows or states, takes ``method`` as its
+    All methods agree; ``mt`` (strictly increasing rows) counts by the walk of
+    ``enumerate mt --count`` under the default budgets; it builds no triangle.
+    ``cache`` memoizes sub-evaluations for the recursive methods and may be
+    shared across calls of one method; results are identical with or without
+    one.  An empty cache, one without rows or states, takes ``method`` as its
     route; a cache that holds values of another route raises ``ValueError``.
     """
     row = _check_row(row)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "mt":
-        if not is_strictly_increasing(row):
-            raise ValueError("method 'mt' requires a strictly increasing row")
-        return sum(1 for _ in enumerate_mt(row))
+        return count_triangles("mt", row)
     if method == "gmt":
         return signed_gmt_count(row)
     if cache is None:

@@ -518,9 +518,9 @@ class ConjectureSpec:
 
     ``n_values`` fixes the grid explicitly (fully deterministic report).
     Without it, each family runs at its two smallest parameter values, and a
-    positive ``time_budget_secs`` lets the grid extend to larger n while the
-    family's elapsed time stays under the budget.  Points are checked in order
-    in the calling thread.
+    positive ``time_budget_secs`` lets the grids extend to larger n while the
+    run, over all its families, stays under the budget.  Points are checked in
+    order in the calling thread.
     """
 
     names: tuple[str, ...] | None = None
@@ -534,6 +534,7 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
     spec = spec or ConjectureSpec()
     names = spec.names or tuple(CONJECTURES)
     reports = []
+    deadline = time.perf_counter() + spec.time_budget_secs
     for name in names:
         if name not in CONJECTURES:
             raise ValueError(f"unknown conjecture id {name!r}")
@@ -549,7 +550,7 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
             for n in ns:  # takes in the values appended while under the budget
                 yield from family.points(n)
                 if spec.n_values is None and n == ns[-1] \
-                        and time.perf_counter() - started < spec.time_budget_secs:
+                        and time.perf_counter() < deadline:
                     ns.append(n + 1)
 
         results, failures = _outcomes(family.check, points(), ev)

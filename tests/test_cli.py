@@ -92,6 +92,13 @@ class TestAlphaCommand:
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["-2", "-2", "-2", "-2"]
 
+    def test_mt_exit_codes(self, capsys):
+        # a row that is not strictly increasing is a usage error; 1..8 has more
+        # monotone triangles than the default triangle budget
+        assert main(["alpha", "--method", "mt", "--row", "2,1"]) == 2
+        assert main(["alpha", "--method", "mt", "--row", "1,2,3,4,5,6,7,8"]) == 3
+        assert capsys.readouterr().out == ""
+
     def test_all_methods_includes_direct_count_when_increasing(self):
         proc = run_cli("alpha", "--row", "1,2,3", "--all-methods")
         assert proc.stdout.splitlines() == ["7"] * 5

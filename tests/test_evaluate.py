@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import re
 import sys
 from itertools import product
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import monotri.rows
 from monotri import (
     BudgetExceededError,
     EvalCache,
     alpha,
     applicable_methods,
+    enumerate_mt,
     extended_sum,
     operator_apply,
     operator_apply_alt,
@@ -414,6 +417,20 @@ class TestAlpha:
         with pytest.raises(TypeError, match=r"^non-integer argument False$"):
             alpha((False, 1, 2), "operator", cache)
         assert len(cache) == 0
+
+    def test_mt_builds_no_triangle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mt route built a triangle")
+
+        monkeypatch.setattr(monotri.rows, "Triangle", refuse)
+        assert alpha(tuple(range(1, 8)), "mt") == 218348
+        assert alpha((2, 4, 5, 8, 9), "mt") == 16939
+
+    def test_mt_raises_the_stream_budget_error(self):
+        with pytest.raises(BudgetExceededError) as streamed:
+            list(enumerate_mt(range(1, 9)))
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(streamed.value))}$"):
+            alpha(tuple(range(1, 9)), "mt")
 
 
 class TestThirdExtension:

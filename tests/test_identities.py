@@ -1,9 +1,11 @@
 import contextlib
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
+import monotri.identities
 from monotri import (
     CONJECTURES,
     ConjectureSpec,
@@ -253,6 +255,17 @@ class TestConjectureSuite:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             run_conjecture_suite(ConjectureSpec(names=("nope",)))
+
+    def test_time_budget_is_one_deadline_for_the_whole_run(self, monkeypatch):
+        # Every clock reading is 0.4 s after the last: the deadline is read
+        # at 0.0 and falls at 1.0, comb-rec starts at 0.4 and grows once (0.8),
+        # then the clock has passed the deadline and no later family grows,
+        # though each of them stays well under the budget on its own.
+        readings = iter(0.4 * i for i in range(1000))
+        monkeypatch.setattr(monotri.identities, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
+        reports = run_conjecture_suite(ConjectureSpec(names=("comb-rec", "rev-dup", "one-desc"),
+                                                      time_budget_secs=1.0))
+        assert [r.grid for r in reports] == ["n in [1, 2, 3]", "n in [1, 2]", "n in [2, 3]"]
 
     def test_ratio_divisibility_instances(self):
         cache = EvalCache()

@@ -1,5 +1,6 @@
 """The test settings of ``pyproject.toml`` and the root ``conftest.py`` themselves."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -41,3 +42,25 @@ def test_the_session_writes_no_bytecode():
     # set by the root conftest.py before any test module is imported
     assert sys.dont_write_bytecode
     assert os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def _unreferenced_imports(path: Path) -> set[str]:
+    """Names that the module at ``path`` imports and never refers to."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_only_the_tracer_keeps_unused_imports():
+    # bench/tracing.py patches these names on the modules that import them,
+    # so each stays imported there though the module does not call it.
+    package = Path(__file__).resolve().parents[1] / "src" / "monotri"
+    unused = {f"{path.stem}.{name}"
+              for path in package.glob("*.py") if path.name != "__init__.py"
+              for name in _unreferenced_imports(path)}
+    assert unused == {"cli.sc_statistic", "evaluate.enumerate_mt"}
