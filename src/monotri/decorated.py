@@ -13,7 +13,6 @@ turning into sign-changing pairs and inversions into newcomers.
 
 from __future__ import annotations
 
-import time
 from itertools import chain, product
 from typing import Iterator
 
@@ -174,7 +173,6 @@ def verify_reduction(bottom) -> VerificationReport:
     budgets, ``DEFAULT_LIMITS``.
     """
     bottom = tuple(bottom)
-    started = time.perf_counter()
     objects = list(enumerate_tn(bottom))
     index = {o: pos for pos, o in enumerate(objects)}
     failures = []
@@ -219,4 +217,4 @@ def verify_reduction(bottom) -> VerificationReport:
         "fixed_points": len(fixed),
         "violators": len(objects) - len(fixed),
         "signed_total": str(lhs),
-    }, started)
+    })

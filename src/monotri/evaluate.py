@@ -35,7 +35,7 @@ from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterator
 
 from .rows import BudgetExceededError, count_triangles, enumerate_mt, signed_gmt_count  # noqa: F401 bench/tracing.py patches enumerate_mt here
-from .triangles import has_equal_triple, is_strictly_increasing
+from .triangles import extended_range, has_equal_triple, is_strictly_increasing
 
 METHODS = ("operator", "operator_alt", "gmt", "third", "mt")
 
@@ -47,21 +47,13 @@ Row = tuple[int, ...]
 RowFunction = Callable[[Row], int]
 
 
-def _extended_range(a: int, b: int) -> tuple[range, int]:
-    """The values and the sign of the extended sum over a..b: a..b with sign
-    +1 when a <= b, otherwise b+1..a-1 with sign -1 (empty when b == a - 1)."""
-    if b >= a:
-        return range(a, b + 1), 1
-    return range(b + 1, a), -1
-
-
 def extended_sum(f: Callable[[int], int], a: int, b: int) -> int:
     """Sum of f over a..b, extended to inverted bounds.
 
     Ordinary sum when a <= b; zero when b == a - 1; the negated sum over
     b+1..a-1 when b + 1 <= a - 1.
     """
-    values, sign = _extended_range(a, b)
+    values, sign = extended_range(a, b)
     return sign * sum(f(v) for v in values)
 
 
@@ -168,7 +160,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     # The summed branch, then the pinned or doubled one.
                     second, last = child[j - 2], child[j - 1]
                     tail = child[j:]
-                    values, sign = _extended_range(second if alt else second + 1, last)
+                    values, sign = extended_range(second if alt else second + 1, last)
                     if j > 2:
                         if values:
                             head = child[:j - 1]
@@ -184,7 +176,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                         lookups += len(values)
                         groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
                     if not alt or j > 2:
-                        # One child, looked up at once: only a miss makes it a group.
+                        # One child, a group of its own.
                         if alt:
                             i, sign, other = j - 2, -1, child[:j - 2] + (second, second) + tail
                         else:
@@ -201,11 +193,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                             dest, i, lookups = store, len(other) - 1, lookups + 1
                             other = tuple([v - other[1] for v in other[1:]])
                         if dest is not None:
-                            value = dest.get(other)
-                            if value is None:
-                                groups.append((sign, dest, iter((other,)), i))
-                            else:
-                                total += sign * value
+                            groups.append((sign, dest, iter((other,)), i))
                     groups, keys = iter(groups), iter(())
                     break
                 total += sign * value
@@ -405,7 +393,7 @@ def third_families(r: Row) -> Iterator[tuple[tuple[int, ...], tuple[range, ...],
     a decorated row above r, the chosen indices are the specials of r, the
     pinned positions their parents, and the entries in inverted ranges its
     inversions, so the sign is (-1)**(specials + inversions)."""
-    free = [_extended_range(r[j], r[j + 1]) for j in range(len(r) - 1)]
+    free = [extended_range(r[j], r[j + 1]) for j in range(len(r) - 1)]
     for chosen, sign, sources in _third_families(len(r)):
         ranges = []
         for (values, s), source in zip(free, sources):

@@ -184,9 +184,8 @@ def _recursion_agreement(p: dict, fn_at: Callable[[int], Evaluator]) -> tuple[in
 
 
 def _point_report(name: str, identity, params: dict, method: str, cache: EvalCache | None) -> VerificationReport:
-    started = time.perf_counter()
     _, failures = _outcomes(identity, [params], make_evaluator(method, cache))
-    return build_report(name, f"single point {params}", "proven", 1, failures, {}, started)
+    return build_report(name, f"single point {params}", "proven", 1, failures, {})
 
 
 def check_cyclic(k, method: str = "operator", cache: EvalCache | None = None) -> VerificationReport:
@@ -238,10 +237,9 @@ def check_method_agreement(k) -> VerificationReport:
     """All evaluation methods that apply to the row agree on it.  Each
     recursive method uses its own cache so the routes stay independent."""
     k = tuple(k)
-    started = time.perf_counter()
     _, failures = _outcomes(_agreement, [{"row": list(k)}], _by_method({}), _method_values)
     return build_report("theorem1", f"single point {list(k)}", "proven", 1, failures,
-                        {"methods": list(applicable_methods(k))}, started)
+                        {"methods": list(applicable_methods(k))})
 
 
 # --- the row-sum expansion of the summation operator -------------------------
@@ -339,7 +337,6 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
         raise ValueError(f"unknown grid check {name!r}")
     if name in ("lemma1", "operator-alt") and functions < 1:
         raise ValueError(f"functions must be at least 1, got {functions}")
-    started = time.perf_counter()
     rows = grid_rows(n, window, samples, seed, exhaustive)
     grid = (f"n={n}, window={window[0]}..{window[1]}, "
             + ("exhaustive" if exhaustive else f"samples={samples}, seed={seed}"))
@@ -361,7 +358,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     points = [{"row": list(row), **extra} for row in rows for extra in extras]
 
     results, failures = _outcomes(identity, points, ev, counterexample)
-    return build_report(name, grid, "proven", len(results), failures, {"results": results, **metadata}, started)
+    return build_report(name, grid, "proven", len(results), failures, {"results": results, **metadata})
 
 
 def _mixed_function(seed: int, idx: int, n: int) -> Evaluator:
@@ -540,7 +537,6 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
             raise ValueError(f"unknown conjecture id {name!r}")
         family = CONJECTURES[name]
         ev = make_evaluator(spec.method)
-        started = time.perf_counter()
         if spec.n_values is not None:
             ns = [n for n in spec.n_values if n >= family.first_n]
         else:
@@ -556,8 +552,7 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
         results, failures = _outcomes(family.check, points(), ev)
         reports.append(build_report(
             name, f"n in {ns}", family.kind, len(results), failures,
-            {"kind": family.kind, "description": family.description, "results": results, **family.metadata},
-            started))
+            {"kind": family.kind, "description": family.description, "results": results, **family.metadata}))
     return reports
 
 
@@ -567,7 +562,6 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
     inspection of the conjectured rational formulas."""
     if k < 4:
         raise ValueError("the insertion pattern needs k >= 4")
-    started = time.perf_counter()
     ev = make_evaluator(method)
     ratios = {}
     for n in ns:
@@ -577,4 +571,4 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
         base = ev(staircase(n - 1))
         ratios[str(n)] = str(Fraction(value, base)) if base else f"{value}/0"
     return build_report(f"ratio-scan-k{k}", f"n in {sorted(int(n) for n in ratios)}", "info",
-                        len(ratios), [], {"ratios": ratios}, started)
+                        len(ratios), [], {"ratios": ratios})

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 # kind of claim -> (status when no point failed, status otherwise)
@@ -16,8 +15,9 @@ class VerificationReport:
     ``status`` is "pass"/"fail" for proven identities, "consistent"/
     "inconsistent" for conjectures, or "info" for report-only checks.  A
     failed report always carries the first counterexample (inputs plus both
-    side values as decimal strings).  ``timing_secs`` is diagnostic only and
-    excluded from :meth:`to_dict` so that serialized reports are reproducible.
+    side values as decimal strings).  A report holds only what was checked,
+    so two runs of the same check give equal reports; ``verify`` times the
+    whole run on its own clock.
     """
 
     name: str
@@ -27,22 +27,13 @@ class VerificationReport:
     status: str
     counterexample: dict | None = None
     metadata: dict = field(default_factory=dict)
-    timing_secs: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": self.grid,
-            "checked": self.checked,
-            "failures": self.failures,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "metadata": self.metadata,
-        }
+        return dict(vars(self))
 
     def claim(self) -> str:
         if self.status == "consistent":
@@ -55,19 +46,18 @@ class VerificationReport:
 
 
 def build_report(name: str, grid: str, kind: str, checked: int, failures: list[dict],
-                 metadata: dict, started: float) -> VerificationReport:
+                 metadata: dict) -> VerificationReport:
     """The report of ``checked`` points of a check of the given ``kind``
     ("proven", "conjecture" or "info"), with its failures in order: the status
-    words by kind, the first failure as the counterexample, and the time since
-    ``started`` (a ``time.perf_counter()`` reading).  A check of no point is a
-    usage error, raised as ``ValueError``."""
+    words by kind and the first failure as the counterexample.  A check of no
+    point is a usage error, raised as ``ValueError``."""
     if checked < 1:
         raise ValueError(f"{name} has no point to check ({grid})")
     passed, failed = _STATUS[kind]
     return VerificationReport(
         name=name, grid=grid, checked=checked, failures=len(failures),
         status=failed if failures else passed, counterexample=failures[0] if failures else None,
-        metadata=metadata, timing_secs=time.perf_counter() - started)
+        metadata=metadata)
 
 
 def render_table(reports: list[VerificationReport]) -> str:

@@ -25,6 +25,7 @@ from .triangles import (
     StreamRows,
     Triangle,
     check_row,
+    extended_range,
     has_equal_triple,
     is_strictly_increasing,
     is_weakly_decreasing,
@@ -97,7 +98,7 @@ def gmt_admissible_rows(lower) -> list[tuple[int, ...]]:
         raise ValueError("the lower row needs at least two entries")
     if m == 2:
         a, b = k
-        return [(v,) for v in (range(a, b + 1) if a <= b else range(b + 1, a))]
+        return [(v,) for v in extended_range(a, b)[0]]
     if has_equal_triple(k):
         return []
     edge = m - 3 if k[-2] == k[-1] + 1 else None  # the position that must hold k[-2] too

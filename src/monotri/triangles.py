@@ -158,6 +158,14 @@ def has_equal_triple(row) -> bool:
     return any(row[j] == row[j + 1] == row[j + 2] for j in range(len(row) - 2))
 
 
+def extended_range(a: int, b: int) -> tuple[range, int]:
+    """The values and the sign of the extended sum over a..b: a..b with sign
+    +1 when a <= b, otherwise b+1..a-1 with sign -1 (empty when b == a - 1)."""
+    if b >= a:
+        return range(a, b + 1), 1
+    return range(b + 1, a), -1
+
+
 def validate_monotone_triangle(t: Triangle) -> bool:
     """Strict increase along rows, weak increase along NE and SE diagonals:
     the generalized monotone triangles with a strictly increasing bottom row."""

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -437,6 +438,10 @@ class TestVerifyCommand:
         assert set(monotri.cli._VERIFY_READS) == set(identity.choices)
         for name, reads in monotri.cli._VERIFY_READS.items():
             assert reads <= dests, (name, reads - dests)
+
+    def test_one_timing_line_on_stderr(self, capsys):
+        assert main(["verify", "cyclic", "--n", "3", "--samples", "5"]) == 0
+        assert re.fullmatch(r"checked 1 report\(s\) in \d+\.\d\ds\n", capsys.readouterr().err)
 
     def test_exhaustive_grid_ignores_samples(self, capsys):
         assert main(["verify", "cyclic", "--n", "2", "--window", "0..1", "--exhaustive",

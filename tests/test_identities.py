@@ -161,6 +161,12 @@ class TestGridRunners:
         second = run_identity_grid("cyclic", n=3, samples=30, seed=5)
         assert first.to_dict() == second.to_dict()
 
+    def test_two_runs_of_a_check_give_equal_reports(self):
+        # A report holds what was checked and nothing read off a clock.
+        assert check_cyclic((1, 2, 3)) == check_cyclic((1, 2, 3))
+        assert run_identity_grid("theorem1", 3, (-1, 1), exhaustive=True) \
+            == run_identity_grid("theorem1", 3, (-1, 1), exhaustive=True)
+
     def test_unknown_grid_rejected(self):
         with pytest.raises(ValueError):
             run_identity_grid("no-such-check", n=3)
@@ -198,7 +204,7 @@ class TestStatusWords:
         words = {}
         for kind in ("proven", "conjecture", "info"):
             for failures in ([], [{"params": {}}]):
-                report = build_report("x", "g", kind, 1, failures, {}, 0.0)
+                report = build_report("x", "g", kind, 1, failures, {})
                 words[kind, bool(failures)] = report.status
                 assert report.counterexample == (failures[0] if failures else None)
         assert words == {("proven", False): "pass", ("proven", True): "fail",
@@ -257,11 +263,11 @@ class TestConjectureSuite:
             run_conjecture_suite(ConjectureSpec(names=("nope",)))
 
     def test_time_budget_is_one_deadline_for_the_whole_run(self, monkeypatch):
-        # Every clock reading is 0.4 s after the last: the deadline is read
-        # at 0.0 and falls at 1.0, comb-rec starts at 0.4 and grows once (0.8),
+        # Every clock reading is 0.5 s after the last: the deadline is read
+        # at 0.0 and falls at 1.0, comb-rec grows at 0.5 and stops at 1.0,
         # then the clock has passed the deadline and no later family grows,
         # though each of them stays well under the budget on its own.
-        readings = iter(0.4 * i for i in range(1000))
+        readings = iter(0.5 * i for i in range(1000))
         monkeypatch.setattr(monotri.identities, "time", SimpleNamespace(perf_counter=lambda: next(readings)))
         reports = run_conjecture_suite(ConjectureSpec(names=("comb-rec", "rev-dup", "one-desc"),
                                                       time_budget_secs=1.0))
