@@ -176,7 +176,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                         lookups += len(values)
                         groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
                     if not alt or j > 2:
-                        # One child, a group of its own.
+                        # One child, looked up at once: only a miss makes it a group.
                         if alt:
                             i, sign, other = j - 2, -1, child[:j - 2] + (second, second) + tail
                         else:
@@ -193,7 +193,11 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                             dest, i, lookups = store, len(other) - 1, lookups + 1
                             other = tuple([v - other[1] for v in other[1:]])
                         if dest is not None:
-                            groups.append((sign, dest, iter((other,)), i))
+                            value = dest.get(other)
+                            if value is None:
+                                groups.append((sign, dest, iter((other,)), i))
+                            else:
+                                total += sign * value
                     groups, keys = iter(groups), iter(())
                     break
                 total += sign * value
