@@ -63,13 +63,24 @@ def parse_window(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse window {text!r}: expected integer bounds")
 
 
+def _reject_unread(name: str, args, default: Callable[[str], object], reads, replaces=None) -> None:
+    """Reject options given other than their defaults that ``name`` does not read or that
+    another given option replaces; ``replaces`` maps an option to the options it replaces."""
+    given = {dest: f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+             if dest not in {"command", "identity", "func"} and value != default(dest)}
+    ignored = [flag for dest, flag in given.items() if dest not in reads]
+    if ignored:
+        raise ValueError(f"{name} does not read {', '.join(ignored)}")
+    for dest, dests in (replaces or {}).items():
+        ignored = [flag for other, flag in given.items() if other in dests]
+        if ignored and dest in given:
+            raise ValueError(f"{name} does not read {', '.join(ignored)} with {given[dest]}")
+
+
 def cmd_alpha(default: Callable[[str], object], args) -> int:
     row = parse_row(args.row)
     if args.all_methods:
-        ignored = [f"--{dest.replace('_', '-')}" for dest in ("method", "cache_file")
-                   if getattr(args, dest) != default(dest)]
-        if ignored:
-            raise ValueError(f"--all-methods does not read {', '.join(ignored)}")
+        _reject_unread("--all-methods", args, default, reads={"row", "all_methods"})
         values = []
         for method in applicable_methods(row):
             values.append(alpha(row, method))
@@ -169,36 +180,24 @@ _VERIFY_REPLACES = {"ratio-scan": {"n_range": {"n"}}, "reduction": {"row": _GRID
                     **dict.fromkeys(CONJECTURES, _FAMILY_REPLACES)}
 
 
-def _check_verify_options(args, default: Callable[[str], object]) -> None:
-    """Reject an option the chosen check does not read, alone or beside an
-    option that replaces it, and an ``--i`` outside the positions 1..n-1."""
-    name = args.identity
-    reads = _VERIFY_READS[name] | {"format", "jobs"}
-    given = {dest: f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
-             if dest not in {"command", "identity", "func"} and value != default(dest)}
-    ignored = [flag for dest, flag in given.items() if dest not in reads]
-    if ignored:
-        raise ValueError(f"{name} does not read {', '.join(ignored)}")
-    for dest, dests in _VERIFY_REPLACES.get(name, {}).items():
-        ignored = [flag for other, flag in given.items() if other in dests]
-        if ignored and dest in given:
-            raise ValueError(f"{name} does not read {', '.join(ignored)} with {given[dest]}")
-    if args.i is not None:
-        n = args.n if args.n is not None else 3
-        if not 1 <= args.i <= n - 1:
-            raise ValueError(f"--i {args.i} outside the positions 1..{n - 1} of {name}")
-
-
 def cmd_verify(default: Callable[[str], object], args) -> int:
-    _check_verify_options(args, default)
+    name = args.identity
+    _reject_unread(name, args, default, _VERIFY_READS[name] | {"format", "jobs"}, _VERIFY_REPLACES.get(name))
+    n = 3 if args.n is None else args.n
+    if args.i is not None and not 1 <= args.i <= n - 1:
+        raise ValueError(f"--i {args.i} outside the positions 1..{n - 1} of {name}")
     window = parse_window(args.window)
     row = parse_row(args.row) if args.row is not None else None
+    spec = None  # built before any check runs, so that a bad budget stops the run first
+    if name == "all" or name in CONJECTURES:
+        spec = ConjectureSpec(names=None if name == "all" else (name,), n_values=_n_values(args),
+                              method=args.method, time_budget_secs=args.time_budget_secs)
     reports: list[VerificationReport] = []
     started = time.perf_counter()
 
     def grid(name: str, **overrides) -> VerificationReport:
         params = dict(
-            n=args.n if args.n is not None else 3,
+            n=n,
             window=window,
             samples=args.samples,
             seed=args.seed,
@@ -211,7 +210,6 @@ def cmd_verify(default: Callable[[str], object], args) -> int:
         params.update(overrides)
         return run_identity_grid(name, **params)
 
-    name = args.identity
     if name == "all":
         reports.append(grid("theorem1", n=3, window=(-2, 2), exhaustive=True))
         reports.append(grid("cyclic", n=3))
@@ -221,26 +219,18 @@ def cmd_verify(default: Callable[[str], object], args) -> int:
         reports.append(grid("lemma1", n=3, samples=25, functions=4))
         reports.append(grid("operator-alt", n=3, samples=25, functions=4))
         reports.append(verify_reduction(row if row is not None else (4, 2, 1, 3)))
-        reports.extend(run_conjecture_suite(ConjectureSpec(
-            method=args.method, time_budget_secs=args.time_budget_secs)))
     elif name in GRID_CHECKS:
         reports.append(grid(name))
     elif name == "reduction":
-        if row is not None:
-            reports.append(verify_reduction(row))
-        else:
-            n = args.n if args.n is not None else 3
-            for row in grid_rows(n, window, args.samples, args.seed, args.exhaustive):
-                reports.append(verify_reduction(row))
+        rows = [row] if row is not None else grid_rows(n, window, args.samples, args.seed, args.exhaustive)
+        reports.extend(map(verify_reduction, rows))
     elif name == "ratio-scan":
         if args.k is None:
             raise ValueError("ratio-scan needs --k")
         ns = _n_values(args) or (args.k, args.k + 1)
         reports.append(emit_ratio_sequence(args.k, ns, args.method))
-    else:  # a conjecture family; argparse's choices admit no other name
-        reports.extend(run_conjecture_suite(ConjectureSpec(
-            names=(name,), n_values=_n_values(args), method=args.method,
-            time_budget_secs=args.time_budget_secs)))
+    if spec is not None:  # all, or a conjecture family
+        reports.extend(run_conjecture_suite(spec))
 
     _emit(reports, args.format)
     print(f"checked {len(reports)} report(s) in {time.perf_counter() - started:.2f}s", file=sys.stderr)

@@ -226,9 +226,10 @@ def operator_apply(k, fn: RowFunction) -> int:
     Defined recursively: the operator over (k_1..k_n) splits into the operator
     over (k_1..k_{n-1}) of the extended sum of the last argument over
     (k_{n-1}+1 .. k_n), plus the operator over (k_1..k_{n-2}, k_{n-1}-1) with
-    the last argument pinned to k_{n-1}.
+    the last argument pinned to k_{n-1}.  The bounds are checked as
+    :func:`alpha` checks its row, up to ``MAX_EVAL_LENGTH`` of them.
     """
-    k = tuple(k)
+    k = _check_row(k)
     if len(k) < 2:
         raise ValueError("the operator needs at least two bounds")
     return _chain(k, "operator", fn)
@@ -238,8 +239,9 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     """Alternative recursion for the same operator: the extended sum of the
     last argument over (k_{n-1} .. k_n) under the shorter operator, minus the
     operator over (k_1..k_{n-2}) with the last two arguments pinned to
-    k_{n-1}.  Agrees with :func:`operator_apply` on every input."""
-    k = tuple(k)
+    k_{n-1}.  Agrees with :func:`operator_apply` on every input, and checks
+    its bounds the same way."""
+    k = _check_row(k)
     if len(k) < 3:
         raise ValueError("the alternative recursion needs at least three bounds")
     return _chain(k, "operator_alt", fn)
@@ -281,7 +283,10 @@ class EvalCache:
     whose digest does not match, which holds a key that is not
     translation-normalized (whatever its header says), or which was written
     by another memoized route (operator, operator_alt, third).  The gmt and mt
-    routes keep no memo, so their files and caches go with any route.
+    routes keep no memo: their files hold no record (:meth:`load` rejects one
+    that does) and go with any route, and a cache of theirs that loads a
+    memoized route's file takes that route, so that it saves the file under
+    the route that computed its values.
     """
 
     def __init__(self, route: str = "operator"):
@@ -352,7 +357,11 @@ class EvalCache:
             if row[0] != 0:
                 raise ValueError(f"cache record not translation-normalized: {line!r}")
             records[row] = value
+        if records and route not in _MEMO_ROUTES:
+            raise ValueError(f"cache file {path}: route {route!r} keeps no memo, yet the file holds records")
         self._store.update(records)
+        if route in _MEMO_ROUTES:
+            self.route = route
         return len(records)
 
 

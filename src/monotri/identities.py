@@ -18,6 +18,7 @@ Conjectures are only ever reported as consistent at the tested scale.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -516,14 +517,19 @@ class ConjectureSpec:
     ``n_values`` fixes the grid explicitly (fully deterministic report).
     Without it, each family runs at its two smallest parameter values, and a
     positive ``time_budget_secs`` lets the grids extend to larger n while the
-    run, over all its families, stays under the budget.  Points are checked in
-    order in the calling thread.
+    run, over all its families, stays under the budget; the budget must be a
+    finite number of seconds >= 0.  Points are checked in order in the calling
+    thread.
     """
 
     names: tuple[str, ...] | None = None
     n_values: tuple[int, ...] | None = None
     method: str = "operator"
     time_budget_secs: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.time_budget_secs) and self.time_budget_secs >= 0):
+            raise ValueError(f"time budget {self.time_budget_secs} s is not a finite number >= 0")
 
 
 def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[VerificationReport]:

@@ -428,6 +428,30 @@ class TestVerifyCommand:
         assert main(["verify", *argv]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_time_budget_must_be_finite_and_not_negative(self, capsys, monkeypatch):
+        # Rejected before any check runs: no grid, reduction or family is started.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("run_identity_grid", "verify_reduction", "run_conjecture_suite"):
+            monkeypatch.setattr(monotri.cli, name, no_work)
+        for check, budget in product(("comb-rec", "all"), ("-1", "nan", "inf")):
+            assert main(["verify", check, "--time-budget-secs", budget]) == 2, (check, budget)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "is not a finite number >= 0" in captured.err
+
+    def test_operator_checks_keep_the_evaluation_bound(self, capsys):
+        # Rows past the bound stop at once with the budget exit code, as
+        # theorem1's do, in place of an operator expansion that does not end.
+        for argv in (["lemma1", "--functions", "1"], ["operator-alt", "--functions", "1"], ["theorem1"]):
+            started = time.perf_counter()
+            assert main(["verify", *argv, "--n", "65", "--samples", "1"]) == 3, argv
+            assert time.perf_counter() - started < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: row length 65 exceeds the evaluation bound 64\n"
+
     def test_option_table_covers_every_check(self):
         # A check missing from the table would end verify with a KeyError
         # traceback, and a misspelt option name would never be read.

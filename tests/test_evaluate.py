@@ -83,6 +83,16 @@ class TestOperator:
         with pytest.raises(ValueError):
             operator_apply_alt((1, 2), lambda l: 1)
 
+    def test_bounds_past_the_evaluation_bound_raise_at_once(self):
+        # The operator checks its bounds as alpha checks its row: 65 bounds
+        # exceed MAX_EVAL_LENGTH before any term is expanded.
+        fn = hashed_row_function(0)
+        for apply in (operator_apply, operator_apply_alt):
+            with pytest.raises(BudgetExceededError, match="row length 65 exceeds the evaluation bound 64"):
+                apply(tuple(range(65)), fn)
+            with pytest.raises(TypeError):
+                apply((0, 1.5, 2), fn)
+
     def test_alt_agrees_on_random_inputs(self):
         rng = random.Random(123)
         for trial in range(60):
@@ -548,6 +558,40 @@ class TestEvalCache:
             EvalCache().load(path)
         with pytest.raises(ValueError, match="unknown route"):
             EvalCache(route="nosuch")
+
+    def test_memo_free_cache_takes_the_route_of_the_file_it_loads(self, tmp_path):
+        # A gmt or mt cache that loads operator records holds operator values:
+        # it evaluates by operator and saves them as operator's, so that no
+        # other memo route reads them.
+        path = tmp_path / "cache.tsv"
+        cache = EvalCache()
+        assert alpha((1, 2, 3, 4), "operator", cache) == 42
+        for route in ("gmt", "mt"):
+            cache.save(path)
+            loaded = EvalCache(route=route)
+            assert loaded.load(path) == len(cache)
+            assert loaded.route == "operator"
+            assert alpha((1, 2, 3, 4, 5), "operator", loaded) == 429
+            loaded.save(path)
+            assert path.read_text().startswith("monotri-cache v2 route=operator ")
+            with pytest.raises(ValueError, match="route 'operator', not 'third'"):
+                EvalCache(route="third").load(path)
+        # A file of gmt or mt without records leaves a cache's route alone.
+        EvalCache(route="mt").save(path)
+        for route in ("gmt", "third"):
+            empty = EvalCache(route=route)
+            assert empty.load(path) == 0
+            assert empty.route == route
+
+    def test_memo_free_route_file_with_records_rejected(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        for route in ("gmt", "mt"):
+            self.write_cache_file(path, "2\t0,5\t6\n", route=route)
+            for reader in ("operator", "third", "gmt", "mt"):
+                cache = EvalCache(route=reader)
+                with pytest.raises(ValueError, match=f"route {route!r} keeps no memo, yet the file holds records"):
+                    cache.load(path)
+                assert (len(cache), cache.route) == (0, reader)
 
     def test_third_cache_file_bytes_are_pinned(self, tmp_path):
         # The memo entries of third, and so its saved files, do not depend

@@ -31,6 +31,7 @@ from monotri.identities import (
     run_conjecture_suite,
     run_identity_grid,
 )
+from monotri.report import render_table
 
 PINNED = Path(__file__).resolve().parent / "golden" / "failing-reports.json"
 
@@ -118,6 +119,23 @@ def test_failing_report_is_pinned(name):
 def test_every_pinned_report_has_a_failure():
     for name, dicts in load_pinned()["reports"].items():
         assert any(d["failures"] for d in dicts), name
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_table_shows_each_failure_below_its_row(name):
+    # A failing row ends with its failed claim, and the next line carries the
+    # first failure; a passing row has no counterexample line.
+    with off_by_one():
+        result = REPORTS[name]()
+    reports = result if isinstance(result, list) else [result]
+    lines = iter(render_table(reports).split("\n")[1:])
+    for report in reports:
+        row = next(lines)
+        assert row.startswith(report.name)
+        if report.failures:
+            assert row.endswith(("identity FAILED", "conjecture: counterexample found")), row
+            assert next(lines).strip() == f"counterexample: {report.counterexample}"
+    assert next(lines, None) is None
 
 
 def test_failing_verify_call_is_pinned():

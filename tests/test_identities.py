@@ -222,6 +222,12 @@ class TestStatusWords:
 
 
 class TestConjectureSuite:
+    def test_time_budget_is_a_finite_number_not_below_zero(self):
+        for budget in (-1, -0.5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="is not a finite number >= 0"):
+                ConjectureSpec(time_budget_secs=budget)
+        assert ConjectureSpec(time_budget_secs=0).time_budget_secs == 0
+
     def test_default_run_is_consistent(self):
         reports = run_conjecture_suite()
         assert len(reports) == len(CONJECTURES)
