@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .decorated import enumerate_tn, tn_totals, verify_reduction
@@ -93,6 +93,8 @@ def cmd_alpha(default: Callable[[str], object], args) -> int:
         # An unusable path is a usage error before any work, not a traceback after it.
         if os.path.isdir(path):
             raise ValueError(f"cache file {path}: is a directory")
+        if not os.path.basename(path):
+            raise ValueError(f"cache file {path}: ends in a path separator")
         folder = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(folder):
             raise ValueError(f"cache file {path}: {folder} is not a directory")
@@ -243,7 +245,14 @@ def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.Argument
     return parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser that every :func:`main` call in this process shares.
+
+    It is built on the first call, not at import, and later calls return the
+    same object, so callers must not change it.  The ``cmd_*`` functions look
+    up what they call on this module when they run, so names patched here
+    after the parser is built still take effect."""
     parser = _allow_negative_values(argparse.ArgumentParser(
         prog="monotri",
         description="Exact evaluation and signed enumeration of monotone triangles "

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -178,7 +179,11 @@ class TestAlphaCommand:
 
         monkeypatch.setattr(monotri.cli, "alpha", refuse)
         missing = tmp_path / "nonexistent" / "F"
-        for path, reason in [(missing, f"{missing.parent} is not a directory"), (tmp_path, "is a directory")]:
+        # A path that ends in a separator names no file, whether nothing or a
+        # regular file has that name.
+        new, regular = f"{tmp_path / 'new.tsv'}{os.sep}", f"{__file__}{os.sep}"
+        for path, reason in [(missing, f"{missing.parent} is not a directory"), (tmp_path, "is a directory"),
+                             (new, "ends in a path separator"), (regular, "ends in a path separator")]:
             assert main(["alpha", "--row", "1,2,3", "--cache-file", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -523,3 +528,93 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         document = json.loads(proc.stdout)
         assert document["reports"][0]["metadata"]["ratios"] == {"4": "4", "5": "9/2"}
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, an argparse exit included;
+    verify's run time reads as T."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), re.sub(r" in \d+\.\d\ds$", " in Ts", err.getvalue(), flags=re.M)
+
+
+class TestSharedParser:
+    # main builds its parser once per process; each call must answer as a
+    # first call on a newly built parser does.
+    SEQUENCE = [
+        ["verify", "cyclic", "--n", "4", "--samples", "3", "--format", "json"],
+        ["verify", "cyclic", "--samples", "3", "--format", "json"],  # --n falls back to 3
+        ["alpha", "--row", "1,2,3", "--all-methods"],
+        ["alpha", "--row", "1,2,3", "--method", "gmt"],
+        ["alpha", "--row"],  # an argparse usage error
+        ["alpha", "--row", "4,2,1,3"],
+        ["alpha", "--help"],
+        ["alpha", "--help"],
+    ]
+
+    def test_later_calls_answer_as_first_calls(self):
+        first = {}
+        for argv in self.SEQUENCE:
+            monotri.cli.build_parser.cache_clear()
+            first[tuple(argv)] = call(argv)
+        results = [call(argv) for argv in self.SEQUENCE]
+        for argv, result in zip(self.SEQUENCE, results):
+            assert result == first[tuple(argv)], argv
+        assert '"grid": "n=4,' in results[0][1] and '"grid": "n=3,' in results[1][1]
+        assert results[2][1] == "7\n" * 5 and results[3][1] == "7\n"
+        assert results[4][0] == 2 and "usage: monotri alpha" in results[4][2]
+        assert results[5] == (0, "-2\n", "")
+        assert results[6][0] == 0 and results[6][1].startswith("usage: monotri alpha")
+        assert results[6] == results[7]
+
+    def test_parser_is_built_once(self, monkeypatch):
+        assert call(["alpha", "--row", "1,2,3"]) == (0, "7\n", "")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the argparse tree was built again")
+
+        monkeypatch.setattr(monotri.cli.argparse, "ArgumentParser", refuse)
+        assert call(["alpha", "--row", "1,2,3"]) == (0, "7\n", "")
+
+    def test_parser_is_not_built_at_import(self):
+        # Importing the CLI, as the benchmark's set-up probe does, builds no
+        # parser; the first main call builds it and a second builds nothing.
+        code = "\n".join([
+            "import argparse, contextlib, io",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(self)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "import monotri.cli",
+            "print(len(built))",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    monotri.cli.main(['alpha', '--row', '1,2,3'])",
+            "    once = len(built)",
+            "    monotri.cli.main(['alpha', '--row', '1,2,3'])",
+            "print(once > 0, len(built) == once)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert proc.stdout == "0\nTrue True\n", proc.stderr
+
+    def test_patches_reach_the_cached_parser(self, monkeypatch, capsys):
+        # bench/tracing.py wraps names on monotri.cli after the parser may exist.
+        assert main(["alpha", "--row", "1,2,3"]) == 0
+        grids = []
+        real_grid = monotri.cli.run_identity_grid
+
+        def recording_grid(name, **params):
+            grids.append(name)
+            return real_grid(name, **params)
+
+        monkeypatch.setattr(monotri.cli, "alpha", lambda row, method, cache: -1)
+        monkeypatch.setattr(monotri.cli, "run_identity_grid", recording_grid)
+        assert main(["alpha", "--row", "1,2,3"]) == 0
+        assert main(["verify", "cyclic", "--samples", "3"]) == 0
+        assert grids == ["cyclic"]
+        assert capsys.readouterr().out.startswith("7\n-1\n")
