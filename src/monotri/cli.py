@@ -2,7 +2,8 @@
 
 Data goes to stdout, diagnostics (including timings) to stderr.  Streams are
 JSON Lines, reports a single JSON document or a text table.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 resource budget exceeded.
+0 success, 1 verification failure, 2 usage error, 3 resource budget exceeded,
+141 (128 + SIGPIPE) stdout closed by its reader, with nothing on stderr.
 Identical invocations with identical seeds produce byte-identical stdout for
 any worker count.
 """
@@ -19,7 +20,7 @@ from functools import cache, partial
 from typing import Callable
 
 from .decorated import enumerate_tn, tn_totals, verify_reduction
-from .evaluate import METHODS, EvalCache, alpha, applicable_methods
+from .evaluate import MEMO_ROUTES, METHODS, EvalCache, alpha, applicable_methods
 from .identities import (
     CONJECTURES,
     GRID_CHECKS,
@@ -81,16 +82,19 @@ def cmd_alpha(default: Callable[[str], object], args) -> int:
     row = parse_row(args.row)
     if args.all_methods:
         _reject_unread("--all-methods", args, default, reads={"row", "all_methods"})
-        values = []
-        for method in applicable_methods(row):
-            values.append(alpha(row, method))
-        for value in values:
-            print(value)
+        values = [alpha(row, method) for method in applicable_methods(row)]
+        print(*values, sep="\n")
         return 0 if len(set(values)) == 1 else 1
+    if args.method not in MEMO_ROUTES:
+        _reject_unread(f"--method {args.method}", args, default, reads={"row", "method"})
+        print(alpha(row, args.method))
+        return 0
     cache = EvalCache(route=args.method)
     path = args.cache_file
-    if path:
+    if path is not None:
         # An unusable path is a usage error before any work, not a traceback after it.
+        if not path:
+            raise ValueError("cache file '': empty path")
         if os.path.isdir(path):
             raise ValueError(f"cache file {path}: is a directory")
         if not os.path.basename(path):
@@ -313,7 +317,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone: quiet the flush at exit and end as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

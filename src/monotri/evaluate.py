@@ -247,8 +247,8 @@ def operator_apply_alt(k, fn: RowFunction) -> int:
     return _chain(k, "operator_alt", fn)
 
 
-# The routes that fill a memo; gmt and mt keep none.
-_MEMO_ROUTES = ("operator", "operator_alt", "third")
+# The routes that fill a memo, each in an EvalCache of its own; gmt and mt keep none.
+MEMO_ROUTES = ("operator", "operator_alt", "third")
 
 _CACHE_VERSION = 2
 _CACHE_HEADER = re.compile(r"monotri-cache v(\d+) (.*)")
@@ -275,23 +275,19 @@ class EvalCache:
     files written before these rules; such older files still load, since
     every record in them holds the same value.
 
-    ``route`` names the evaluation method whose values the cache holds.  A
-    saved cache file starts with the header line
-    ``monotri-cache v2 route=<method> normalize=1 sha256=<hex>``, where the
-    digest covers every record line after it; :meth:`load` rejects a file of
-    another format version, a file whose header is missing or malformed,
-    whose digest does not match, which holds a key that is not
-    translation-normalized (whatever its header says), or which was written
-    by another memoized route (operator, operator_alt, third).  The gmt and mt
-    routes keep no memo: their files hold no record (:meth:`load` rejects one
-    that does) and go with any route, and a cache of theirs that loads a
-    memoized route's file takes that route, so that it saves the file under
-    the route that computed its values.
+    ``route``, one of ``MEMO_ROUTES``, names the route whose values the
+    cache holds; gmt and mt keep no memo.  A saved cache file starts with
+    the header line ``monotri-cache v2 route=<method> normalize=1 sha256=<hex>``,
+    where the digest covers every record line after it; :meth:`load` rejects
+    a file of another format version, a file whose header is missing or
+    malformed, whose digest does not match, which holds a key that is not
+    translation-normalized (whatever its header says), or which names another
+    route.
     """
 
     def __init__(self, route: str = "operator"):
-        if route not in METHODS:
-            raise ValueError(f"unknown route {route!r}, expected one of {METHODS}")
+        if route not in MEMO_ROUTES:
+            raise ValueError(f"route {route!r} has no cache, expected one of {MEMO_ROUTES}")
         self.route = route
         self.hits = 0
         self.misses = 0
@@ -337,11 +333,10 @@ class EvalCache:
         if int(match[1]) != _CACHE_VERSION:
             raise ValueError(f"cache file {path}: unsupported format version {match[1]}")
         match = _CACHE_FIELDS.fullmatch(match[2])
-        if match is None or match[1] not in METHODS:
+        if match is None:
             raise ValueError(f"cache file {path}: missing or malformed header {header[:80]!r}")
-        route = match[1]
-        if route != self.route and route in _MEMO_ROUTES and self.route in _MEMO_ROUTES:
-            raise ValueError(f"cache file {path} holds values of route {route!r}, not {self.route!r}")
+        if match[1] != self.route:
+            raise ValueError(f"cache file {path} holds values of route {match[1]!r}, not {self.route!r}")
         if hashlib.sha256(body.encode("ascii")).hexdigest() != match[3]:
             raise ValueError(f"cache file {path}: checksum mismatch")
         records = {}
@@ -357,11 +352,7 @@ class EvalCache:
             if row[0] != 0:
                 raise ValueError(f"cache record not translation-normalized: {line!r}")
             records[row] = value
-        if records and route not in _MEMO_ROUTES:
-            raise ValueError(f"cache file {path}: route {route!r} keeps no memo, yet the file holds records")
         self._store.update(records)
-        if route in _MEMO_ROUTES:
-            self.route = route
         return len(records)
 
 
@@ -456,10 +447,10 @@ def alpha(row, method: str = "operator", cache: EvalCache | None = None) -> int:
 
     All methods agree; ``mt`` (strictly increasing rows) counts by the walk of
     ``enumerate mt --count`` under the default budgets; it builds no triangle.
-    ``cache`` memoizes sub-evaluations for the recursive methods and may be
-    shared across calls of one method; results are identical with or without
-    one.  An empty cache, one without rows or states, takes ``method`` as its
-    route; a cache that holds values of another route raises ``ValueError``.
+    ``cache`` memoizes sub-evaluations for ``MEMO_ROUTES`` (gmt and mt leave
+    it alone) and may be shared across calls of one method; results agree
+    with or without one.  An empty cache, without rows or states, takes
+    ``method`` as its route; one holding another route's values raises ``ValueError``.
     """
     row = _check_row(row)
     if method not in METHODS:

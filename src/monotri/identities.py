@@ -27,7 +27,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
-from .evaluate import METHODS, EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
+from .evaluate import MEMO_ROUTES, EvalCache, alpha, applicable_methods, operator_apply, operator_apply_alt
 from .report import VerificationReport, build_report
 from .rows import gmt_admissible_rows, row_sign_changes
 from .triangles import has_equal_triple
@@ -37,10 +37,10 @@ Evaluator = Callable[[Row], int]
 
 
 def make_evaluator(method: str = "operator", cache: EvalCache | None = None) -> Evaluator:
-    """Bind a method and a shared cache into a row -> value function; gmt
-    and mt ignore the cache."""
-    if cache is None:
-        cache = EvalCache()
+    """Bind a method and a shared cache into a row -> value function; a
+    memoized method without ``cache`` gets a new one, gmt and mt none."""
+    if cache is None and method in MEMO_ROUTES:
+        cache = EvalCache(method)
     return lambda row: alpha(row, method, cache)
 
 
@@ -345,7 +345,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     identity, counterexample, extras, metadata = _GRID_IDENTITIES[name], _lhs_rhs, [{}], {}
     if name == "theorem1":
         # one private cache per method, shared across the grid
-        ev, counterexample = _by_method({m: EvalCache() for m in METHODS}), _method_values
+        ev, counterexample = _by_method({m: EvalCache(m) for m in MEMO_ROUTES}), _method_values
     elif name in ("lemma1", "operator-alt"):
         ev = partial(_mixed_function, seed, n=n)
         extras = [{"function": idx} for idx in range(functions)]
@@ -518,8 +518,8 @@ class ConjectureSpec:
     Without it, each family runs at its two smallest parameter values, and a
     positive ``time_budget_secs`` lets the grids extend to larger n while the
     run, over all its families, stays under the budget; the budget must be a
-    finite number of seconds >= 0.  Points are checked in order in the calling
-    thread.
+    finite number of seconds >= 0, and every name a key of ``CONJECTURES``.
+    Points are checked in order in the calling thread.
     """
 
     names: tuple[str, ...] | None = None
@@ -530,6 +530,9 @@ class ConjectureSpec:
     def __post_init__(self):
         if not (math.isfinite(self.time_budget_secs) and self.time_budget_secs >= 0):
             raise ValueError(f"time budget {self.time_budget_secs} s is not a finite number >= 0")
+        for name in self.names or ():
+            if name not in CONJECTURES:
+                raise ValueError(f"unknown conjecture id {name!r}")
 
 
 def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[VerificationReport]:
@@ -539,8 +542,6 @@ def run_conjecture_suite(spec: ConjectureSpec | None = None) -> list[Verificatio
     reports = []
     deadline = time.perf_counter() + spec.time_budget_secs
     for name in names:
-        if name not in CONJECTURES:
-            raise ValueError(f"unknown conjecture id {name!r}")
         family = CONJECTURES[name]
         ev = make_evaluator(spec.method)
         if spec.n_values is not None:
@@ -571,10 +572,7 @@ def emit_ratio_sequence(k: int, ns: Iterable[int], method: str = "operator") -> 
     ev = make_evaluator(method)
     ratios = {}
     for n in ns:
-        if n < k:
-            continue
-        value = ev(_ratio_row(k, n))
-        base = ev(staircase(n - 1))
-        ratios[str(n)] = str(Fraction(value, base)) if base else f"{value}/0"
+        if n >= k:  # the staircase value is ASM(n - 1) >= 7, never 0
+            ratios[str(n)] = str(Fraction(ev(_ratio_row(k, n)), ev(staircase(n - 1))))
     return build_report(f"ratio-scan-k{k}", f"n in {sorted(int(n) for n in ratios)}", "info",
                         len(ratios), [], {"ratios": ratios})

@@ -132,17 +132,20 @@ class TestAlphaCommand:
         assert main(["alpha", "--row", "4,2,1,3", "--cache-file", str(path)]) == 0
         written = path.stat()
         assert main(["alpha", "--row", "4,2,1,3", "--cache-file", str(path)]) == 0
-        assert main(["alpha", "--row", "1,2,3", "--method", "gmt", "--cache-file", str(path)]) == 0
+        # a translated row the file answers in full
+        assert main(["alpha", "--row", "5,3,2,4", "--cache-file", str(path)]) == 0
         same = path.stat()
         assert (same.st_ino, same.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
         assert main(["alpha", "--row", "1,2,3,4", "--cache-file", str(path)]) == 0
         assert path.stat().st_ino != written.st_ino
-        assert capsys.readouterr().out == "-2\n-2\n7\n42\n"
+        assert capsys.readouterr().out == "-2\n-2\n-2\n42\n"
 
     def test_new_cache_file_is_written_even_without_entries(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        assert main(["alpha", "--row", "1,2,3", "--method", "gmt", "--cache-file", str(path)]) == 0
-        assert path.read_text().startswith("monotri-cache v2 route=gmt ")
+        # a row of one entry is worth 1 and stores nothing
+        assert main(["alpha", "--row", "7", "--cache-file", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("monotri-cache v2 route=operator ")
 
     def test_cache_file_of_another_route_exits_with_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
@@ -156,8 +159,36 @@ class TestAlphaCommand:
             assert captured.out == ""
             assert "holds values of route 'operator'" in captured.err
         assert main(["alpha", *row, "--method", "third", "--cache-file", str(tmp_path / "third.tsv")]) == 0
-        assert main(["alpha", *row, "--method", "mt", "--cache-file", str(path)]) == 0
-        assert capsys.readouterr().out == "429\n429\n"
+        assert capsys.readouterr().out == "429\n"
+
+    def test_memo_free_method_reads_no_cache_file(self, tmp_path, capsys):
+        # gmt and mt keep no memo: --cache-file is a usage error there, before
+        # any work, whether the file exists or not, and no file is written.
+        path, existing = tmp_path / "new.tsv", tmp_path / "operator.tsv"
+        assert main(["alpha", "--row", "1,2,3,4", "--cache-file", str(existing)]) == 0
+        assert capsys.readouterr().out == "42\n"
+        text = existing.read_text()
+        for method in ("gmt", "mt"):
+            assert main(["alpha", "--row", "1,2,3,4", "--method", method]) == 0
+            assert capsys.readouterr().out == "42\n"
+            for cache_file in (path, existing, ""):
+                assert main(["alpha", "--row", "1,2,3,4", "--method", method, "--cache-file", str(cache_file)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"error: --method {method} does not read --cache-file\n"
+        assert not path.exists()
+        assert existing.read_text() == text
+
+    def test_empty_cache_file_path_exits_with_usage_error(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluated despite an empty cache file path")
+
+        monkeypatch.setattr(monotri.cli, "alpha", refuse)
+        for method in ("operator", "operator_alt", "third"):
+            assert main(["alpha", "--row", "1,2,3", "--method", method, "--cache-file", ""]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: cache file '': empty path\n"
 
     def test_tampered_value_exits_with_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
@@ -208,6 +239,28 @@ class TestAlphaCommand:
 
 
 class TestEnumerateCommand:
+    def test_reader_that_closes_early_ends_the_stream_quietly(self):
+        # 7,436 triangles, 416 KB: far more than a pipe holds, so the stream
+        # is still writing when the reader goes.
+        argv = [sys.executable, "-m", "monotri.cli", "enumerate", "gmt", "--row", "1,2,3,4,5,6"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"[[1],[1,2],[1,2,3],[1,2,3,4],[1,2,3,4,5],[1,2,3,4,5,6]]\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=300) == 141
+            assert proc.stderr.read() == b""
+
+    def test_output_to_a_closed_pipe_ends_quietly(self):
+        # A pipe whose reader is gone before the command starts: even output
+        # that fits in stdout's buffer is written before main returns.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "monotri.cli", "alpha", "--row", "1,2,3"],
+                                  stdout=write, stderr=subprocess.PIPE, timeout=300)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
     def test_count_and_signed(self):
         assert run_cli("enumerate", "gmt", "--row", "4,2,1,3", "--count").stdout == "4\n"
         assert run_cli("enumerate", "gmt", "--row", "4,2,1,3", "--signed").stdout == "-2\n"

@@ -21,7 +21,7 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri.evaluate import _box_keys, _third_families
+from monotri.evaluate import MEMO_ROUTES, _box_keys, _third_families
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -548,48 +548,28 @@ class TestEvalCache:
         for other in ("operator", "operator_alt"):
             with pytest.raises(ValueError, match="route 'third', not '" + other):
                 EvalCache(route=other).load(path)
-        # gmt and mt keep no memo: their caches read any file, and any route
-        # reads theirs.
-        assert EvalCache(route="gmt").load(path) == len(cache)
-        EvalCache(route="mt").save(path)
-        assert EvalCache(route="third").load(path) == 0
         self.write_cache_file(path, "2\t0,5\t6\n", route="nosuch")
-        with pytest.raises(ValueError, match="malformed header"):
+        with pytest.raises(ValueError, match="route 'nosuch', not 'operator'"):
             EvalCache().load(path)
-        with pytest.raises(ValueError, match="unknown route"):
+        with pytest.raises(ValueError, match="route 'nosuch' has no cache"):
             EvalCache(route="nosuch")
 
-    def test_memo_free_cache_takes_the_route_of_the_file_it_loads(self, tmp_path):
-        # A gmt or mt cache that loads operator records holds operator values:
-        # it evaluates by operator and saves them as operator's, so that no
-        # other memo route reads them.
-        path = tmp_path / "cache.tsv"
-        cache = EvalCache()
-        assert alpha((1, 2, 3, 4), "operator", cache) == 42
+    def test_memo_free_routes_have_no_cache(self):
         for route in ("gmt", "mt"):
-            cache.save(path)
-            loaded = EvalCache(route=route)
-            assert loaded.load(path) == len(cache)
-            assert loaded.route == "operator"
-            assert alpha((1, 2, 3, 4, 5), "operator", loaded) == 429
-            loaded.save(path)
-            assert path.read_text().startswith("monotri-cache v2 route=operator ")
-            with pytest.raises(ValueError, match="route 'operator', not 'third'"):
-                EvalCache(route="third").load(path)
-        # A file of gmt or mt without records leaves a cache's route alone.
-        EvalCache(route="mt").save(path)
-        for route in ("gmt", "third"):
-            empty = EvalCache(route=route)
-            assert empty.load(path) == 0
-            assert empty.route == route
+            with pytest.raises(ValueError, match=f"route {route!r} has no cache, expected one of "
+                                                 r"\('operator', 'operator_alt', 'third'\)"):
+                EvalCache(route=route)
 
-    def test_memo_free_route_file_with_records_rejected(self, tmp_path):
+    def test_memo_free_route_file_rejected(self, tmp_path):
+        # A file that names gmt or mt is another route's file to every cache,
+        # with records or without.
         path = tmp_path / "cache.tsv"
-        for route in ("gmt", "mt"):
-            self.write_cache_file(path, "2\t0,5\t6\n", route=route)
-            for reader in ("operator", "third", "gmt", "mt"):
+        for route, body in product(("gmt", "mt"), ("", "2\t0,5\t6\n")):
+            self.write_cache_file(path, body, route=route)
+            for reader in MEMO_ROUTES:
                 cache = EvalCache(route=reader)
-                with pytest.raises(ValueError, match=f"route {route!r} keeps no memo, yet the file holds records"):
+                with pytest.raises(ValueError, match=f"^cache file {re.escape(str(path))} holds values "
+                                                     f"of route {route!r}, not {reader!r}$"):
                     cache.load(path)
                 assert (len(cache), cache.route) == (0, reader)
 

@@ -268,6 +268,14 @@ class TestConjectureSuite:
         with pytest.raises(ValueError):
             run_conjecture_suite(ConjectureSpec(names=("nope",)))
 
+    def test_unknown_name_rejected_before_any_family_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a family ran before every name was checked")
+
+        monkeypatch.setattr(monotri.identities, "alpha", refuse)
+        with pytest.raises(ValueError, match="^unknown conjecture id 'nosuch'$"):
+            run_conjecture_suite(ConjectureSpec(names=("w-symmetry", "nosuch"), n_values=(4,)))
+
     def test_time_budget_is_one_deadline_for_the_whole_run(self, monkeypatch):
         # Every clock reading is 0.5 s after the last: the deadline is read
         # at 0.0 and falls at 1.0, comb-rec grows at 0.5 and stops at 1.0,

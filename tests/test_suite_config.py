@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from monotri.evaluate import MEMO_ROUTES, METHODS, EvalCache
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 FAILING_PROPERTY_THEN_PLAIN_TEST = '''
@@ -64,3 +66,19 @@ def test_only_the_tracer_keeps_unused_imports():
               for path in package.glob("*.py") if path.name != "__init__.py"
               for name in _unreferenced_imports(path)}
     assert unused == {"cli.sc_statistic", "evaluate.enumerate_mt"}
+
+
+def test_the_tracer_caches_exactly_the_memoized_routes():
+    # bench/tracing.py gives a traced alpha call without a cache one of its
+    # own on the routes of CACHED_METHODS; it is read here, not imported.
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text())
+    cached, = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == ["CACHED_METHODS"]]
+    memoized = set()
+    for method in METHODS:
+        try:
+            EvalCache(method)
+        except ValueError:
+            continue
+        memoized.add(method)
+    assert set(cached) == set(MEMO_ROUTES) == memoized
