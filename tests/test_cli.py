@@ -179,17 +179,6 @@ class TestAlphaCommand:
         assert not path.exists()
         assert existing.read_text() == text
 
-    def test_empty_cache_file_path_exits_with_usage_error(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("evaluated despite an empty cache file path")
-
-        monkeypatch.setattr(monotri.cli, "alpha", refuse)
-        for method in ("operator", "operator_alt", "third"):
-            assert main(["alpha", "--row", "1,2,3", "--method", method, "--cache-file", ""]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == "error: cache file '': empty path\n"
-
     def test_tampered_value_exits_with_usage_error(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
         assert main(["alpha", "--row", "10,15", "--cache-file", str(path)]) == 0
@@ -219,6 +208,8 @@ class TestAlphaCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: cache file {path}: {reason}\n"
+        assert main(["alpha", "--row", "1,2,3", "--cache-file", ""]) == 2
+        assert capsys.readouterr() == ("", "error: cache file '': empty path\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_cache_file_os_error_exits_with_usage_error(self, tmp_path, capsys, monkeypatch):
