@@ -9,6 +9,11 @@ count over all decorations equals the counting polynomial; cancelling the
 decorated objects that violate the interior strict-increase condition via the
 involution leaves exactly the generalized monotone triangles, with specials
 turning into sign-changing pairs and inversions into newcomers.
+
+Two flat walks go over the boxes above each row: :func:`_tn_walk` serves
+only the stream, :func:`enumerate_tn`, and :func:`tn_totals` counts without
+building an object, keeping the totals of each row it finishes, since the
+objects above a row depend on that row alone.
 """
 
 from __future__ import annotations
@@ -112,17 +117,67 @@ def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int
     """(number, sum of the signs) of the decorated triangles with the given
     bottom row: the length of ``enumerate_tn(bottom, limits)`` and the sum of
     its objects' signs, or its budget error, without building an object.
-    ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``."""
-    count = signed = 0
-    for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
-        count += 1
-        signed += path[-1][2]
-    return count, signed
+    ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``.
+
+    The objects above a row depend on that row alone, so the walk keeps
+    (objects, rows charged, signed total) for each row it finishes, as
+    :func:`~monotri.rows.triangle_totals` does.  It takes the edges in stream
+    order, expanding the boxes lazily, and charges the budgets by the
+    stream's rule: one row per edge as it is taken, one triangle at each
+    apex.  It skips a walked row only when both budgets absorb that row's
+    totals, so it stops where the stream stops and builds no box row past it.
+    """
+    bottom = tuple(bottom)
+    check_row(bottom, len(bottom))
+    if not bottom:
+        raise ValueError("the bottom row must not be empty")
+    if len(bottom) == 1:
+        return 1, 1
+    limits = limits or DEFAULT_LIMITS
+    max_rows, max_triangles = limits.max_rows_generated, limits.max_triangles
+    walked: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    objects = rows = 0
+    # A frame: the row, an iterator over (row above, edge sign), the objects and rows
+    # before it, its signed total so far, and the sign of the edge being walked.
+    stack = []
+    top = bottom
+    while True:
+        stack.append([top, ((above, sign) for _, ranges, sign in _boxes(top) for above in product(*ranges)),
+                      objects, rows, 0, 1])
+        while True:
+            frame = stack[-1]
+            for top, sign in frame[1]:
+                rows += 1
+                if rows > max_rows:
+                    raise BudgetExceededError("row generation budget exhausted")
+                if len(top) == 1:
+                    if objects == max_triangles:
+                        raise BudgetExceededError("triangle budget exhausted")
+                    objects += 1
+                    frame[4] += sign
+                    continue
+                seen = walked.get(top)
+                if seen is None or objects + seen[0] > max_triangles or rows + seen[1] > max_rows:
+                    frame[5] = sign
+                    break
+                objects += seen[0]
+                rows += seen[1]
+                frame[4] += sign * seen[2]
+            else:
+                stack.pop()
+                signed = frame[4]
+                walked[frame[0]] = (objects - frame[2], rows - frame[3], signed)
+                if not stack:
+                    return objects, signed
+                stack[-1][4] += stack[-1][5] * signed
+                continue
+            break
 
 
 def signed_tn_count(bottom) -> int:
     """Sum of (-1)**s over all decorated triangles with the given bottom row,
-    by :func:`tn_totals` under the default budgets, ``DEFAULT_LIMITS``."""
+    by the memoized walk of :func:`tn_totals` under the default budgets,
+    ``DEFAULT_LIMITS``."""
     return tn_totals(bottom)[1]
 
 

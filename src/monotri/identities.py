@@ -300,6 +300,8 @@ def grid_rows(n: int, window: tuple[int, int], samples: int, seed: int,
     """Rows of length ``n`` over ``window``: every row when ``exhaustive``,
     else ``samples`` rows drawn by a generator seeded with ``seed``."""
     lo, hi = window
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if lo > hi:
         raise ValueError(f"empty window {window}")
     if not exhaustive and samples < 1:

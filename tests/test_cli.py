@@ -427,6 +427,9 @@ class TestVerifyCommand:
             (["cyclic", "--n", "3", "--samples", "0"], "samples must be at least 1"),
             (["cyclic", "--n", "3", "--samples", "-5"], "samples must be at least 1"),
             (["reduction", "--samples", "0"], "samples must be at least 1"),
+            (["cyclic", "--n", "-2", "--exhaustive"], "n must be at least 1, got -2"),
+            (["theorem1", "--n", "0"], "n must be at least 1, got 0"),
+            (["reduction", "--n", "0"], "n must be at least 1, got 0"),
             (["lemma1", "--functions", "0"], "functions must be at least 1"),
             (["operator-alt", "--functions", "-1"], "functions must be at least 1"),
             (["ratio-scan", "--k", "4", "--n-range", "6..5"], "empty --n-range 6..5"),

@@ -143,6 +143,50 @@ class TestFlatWalk:
         with pytest.raises(BudgetExceededError, match="row generation budget exhausted"):
             tn_totals((3, 1, 4, 2, 5), EnumerationLimits(max_rows_generated=20))
 
+    def test_totals_walk_each_distinct_row_once(self, monkeypatch):
+        # Every row reachable above the bottom, and the boxes above it: the
+        # walk expands each box of a distinct row once, not once per visit.
+        reachable, todo = set(), [(1, 2, 3, 4, 5, 6)]
+        while todo:
+            row = todo.pop()
+            if len(row) > 1 and row not in reachable:
+                reachable.add(row)
+                todo.extend(above for _, ranges, _ in decorated._boxes(row) for above in product(*ranges))
+        boxes = sum(len(decorated._boxes(row)) for row in reachable)
+        calls = []
+
+        def counted(*ranges):
+            calls.append(ranges)
+            return product(*ranges)
+
+        monkeypatch.setattr(decorated, "product", counted)
+        assert tn_totals((1, 2, 3, 4, 5, 6)) == (132624, 7436)
+        assert len(calls) <= boxes
+        with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
+            tn_totals(range(1, 8))
+
+    @pytest.mark.parametrize("bottom, objects, rows, signed", [
+        ((3, 1, 4, 2, 5), 814, 1472, 138),
+        ((1, 2, 3, 4, 5), 2301, 3851, 429),
+    ])
+    def test_budgets_that_just_fit_or_just_do_not(self, bottom, objects, rows, signed):
+        # The walk skips a row it has walked only when both budgets absorb
+        # that row's totals, so at one below either total it must go into
+        # the row that no longer fits and stop where the stream stops.
+        for limits, message in [
+            (EnumerationLimits(max_rows_generated=rows, max_triangles=objects), None),
+            (EnumerationLimits(max_rows_generated=rows - 1, max_triangles=objects), "row generation"),
+            (EnumerationLimits(max_rows_generated=rows, max_triangles=objects - 1), "triangle"),
+        ]:
+            streamed, error = drain(enumerate_tn(bottom, limits), BudgetExceededError)
+            if message is None:
+                assert error is None and len(streamed) == objects
+                assert tn_totals(bottom, limits) == (objects, signed)
+            else:
+                assert error == f"{message} budget exhausted"
+                with pytest.raises(BudgetExceededError, match=error):
+                    tn_totals(bottom, limits)
+
     def test_empty_bottom_raises_on_first_next(self):
         stream = enumerate_tn(())
         with pytest.raises(ValueError, match="must not be empty"):
