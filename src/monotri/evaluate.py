@@ -64,6 +64,24 @@ def _pinned_keys(values: range, tail) -> Iterator[Row]:
     return zip(repeat(0, b - a), *[range(v - a, v - b, -1) for v in tail])
 
 
+def _alpha3(a: int, b: int, c: int) -> int:
+    """The polynomial at a row of three entries, in closed form."""
+    return -(a * a * (b - c - 1) + a * (c * c + 4 * c + 3 - b * b - 2 * b)
+             + b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) // 2
+
+
+def _alpha3_sum(values: range, b: int, c: int) -> int:
+    """The sum of :func:`_alpha3` (x, b, c) over x in ``values``, a range of
+    step 1: the polynomial is quadratic in x, so the sum takes the power sums
+    of x of degree 0 to 2 over the range, and the halving is exact."""
+    lo = values.start
+    hi = lo + len(values)
+    s1 = (hi * (hi - 1) - lo * (lo - 1)) // 2
+    s2 = (hi * (hi - 1) * (2 * hi - 1) - lo * (lo - 1) * (2 * lo - 1)) // 6
+    return -((b - c - 1) * s2 + (c * c + 4 * c + 3 - b * b - 2 * b) * s1
+             + (b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) * (hi - lo)) // 2
+
+
 # The operator chain.  The operator over bounds k, applied to a function of
 # len(k) - 1 arguments, unrolls into chain states.  A state (j, s) is a tuple
 # s as long as k whose first j entries are bounds still to expand and whose
@@ -89,14 +107,16 @@ def _pinned_keys(values: range, tail) -> Iterator[Row]:
 #
 # With an EvalCache some leaves and states have a known value and are not
 # expanded or looked up.  A leaf (a, b) is worth b - a + 1 on both operator
-# routes.  Two more rules hold on the operator route alone, so that
-# the other routes, which use neither, check them.  A row with three
-# equal neighbours is worth 0, since no generalized monotone triangle row fits
-# above them, and so is a state whose s[j:] holds three, since every leaf
-# below it keeps s[j:]; as every descendant keeps s[j:], three equal
-# neighbours can only close at the entry a child fixes last.  And a row that
-# misses is looked up reflected, alpha(k) = alpha(-k_n, ..., -k_1), before it
-# is expanded.
+# routes.  Three more rules hold on the operator route alone, so that the
+# other routes, which use none of them, check them.  A row (a, b, c) is worth
+# _alpha3(a, b, c), a quadratic in a, so a state's leaves (x, t1, t2) sum to
+# _alpha3_sum over the range of x, and no row of length 3 is looked up,
+# expanded or stored.  A row with three equal neighbours is worth 0, since no
+# generalized monotone triangle row fits above them, and so is a state whose
+# s[j:] holds three, since every leaf below it keeps s[j:]; as every
+# descendant keeps s[j:], three equal neighbours can only close at the entry
+# a child fixes last.  And a row that misses is looked up reflected,
+# alpha(k) = alpha(-k_n, ..., -k_1), before it is expanded.
 
 
 def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
@@ -121,17 +141,22 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
 
     With a cache the operator routes settle a leaf of length 2 in closed
     form, summing a state's leaves (x, t) as an arithmetic series.  The
-    operator route also settles by rule the rows and states with three equal
-    neighbours (see the comment above); it checks the whole row ``k`` once
-    and then only the entry each child fixes, at s[j:j+3] for a state and at
-    the first three entries of a leaf row.  On a miss it looks the row up
-    reflected before expanding it.  A row settled by rule counts as neither a
-    hit nor a miss, and a row found reflected counts as a hit.
+    operator route also settles a leaf of length 3 in closed form, summing a
+    state's leaves (x, t1, t2) by :func:`_alpha3_sum` and the pinned leaf by
+    :func:`_alpha3`, and returns a row ``k`` of length 3 at once.  It settles
+    by rule the rows and states with three equal neighbours (see the
+    comment above); it checks the whole row ``k`` once and then only the
+    entry each child fixes, at s[j:j+3] for a state and at the first three
+    entries of a leaf row.  On a miss it looks the row up reflected before
+    expanding it.  A row settled by rule or in closed form counts as
+    neither a hit nor a miss, and a row found reflected counts as a hit.
     """
     alt = route == "operator_alt"
     pruned = route == "operator" and cache is not None
     if pruned and has_equal_triple(k):
         return 0
+    if pruned and len(k) == 3:
+        return _alpha3(*k)
     memos = [{} for _ in k] if cache is None else cache._states
     store = {} if cache is None else cache._store
     lookups, misses, stack = 1, 0, []
@@ -172,6 +197,8 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     elif len(tail) == 1:
                         # Rows (x, t) are worth t - x + 1: an arithmetic series.
                         total += sign * (len(values) * (2 * tail[0] + 3 - values.start - values.stop) // 2)
+                    elif len(tail) == 2 and pruned:
+                        total += sign * _alpha3_sum(values, *tail)
                     elif values:
                         lookups += len(values)
                         groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
@@ -189,6 +216,8 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                             dest, total = None, total + sign
                         elif len(other) == 3:
                             dest, total = None, total + sign * (other[2] - other[1] + 1)
+                        elif len(other) == 4 and pruned:
+                            dest, total = None, total + sign * _alpha3(*other[1:])
                         else:
                             dest, i, lookups = store, len(other) - 1, lookups + 1
                             other = tuple([v - other[1] for v in other[1:]])
@@ -270,10 +299,11 @@ class EvalCache:
 
     The rows a route settles by rule are not stored (see :func:`_chain`):
     the operator routes store no row of length 2 below the row asked for,
-    and the operator route no row with three equal neighbours and at most one
-    of a row and its reflection.  Their cache files hold fewer records than
-    files written before these rules; such older files still load, since
-    every record in them holds the same value.
+    and the operator route no row of length 3, no row with three equal
+    neighbours and at most one of a row and its reflection.  Their cache
+    files hold fewer records than files written before these rules; such
+    older files still load, since every record in them holds the same value,
+    and the operator route then never reads their rows of length 3.
 
     ``route``, one of ``MEMO_ROUTES``, names the route whose values the
     cache holds; gmt and mt keep no memo.  A saved cache file starts with

@@ -323,6 +323,8 @@ _GRID_IDENTITIES = {
     "shift-antisym": _shift_antisym,
 }
 GRID_CHECKS = tuple(_GRID_IDENTITIES)
+# operator grid check -> the least n at which its recursion applies
+_LEAST_N = {"lemma1": 2, "operator-alt": 3}
 
 
 def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
@@ -333,13 +335,17 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
 
     Rows are exhaustive over the window or sampled with the seeded generator,
     and the points are checked in order in the calling thread.  The operator
-    identities check ``functions`` test functions at each row, the pair
-    identities each position of ``i_values`` (default 1..n-1).
+    identities check ``functions`` test functions at each row, and need n of
+    at least 2 (lemma1) or 3 (operator-alt); the pair identities check each
+    position of ``i_values`` (default 1..n-1).
     """
     if name not in GRID_CHECKS:
         raise ValueError(f"unknown grid check {name!r}")
-    if name in ("lemma1", "operator-alt") and functions < 1:
-        raise ValueError(f"functions must be at least 1, got {functions}")
+    if name in _LEAST_N:
+        if n < _LEAST_N[name]:
+            raise ValueError(f"{name} needs n of at least {_LEAST_N[name]}, got {n}")
+        if functions < 1:
+            raise ValueError(f"functions must be at least 1, got {functions}")
     rows = grid_rows(n, window, samples, seed, exhaustive)
     grid = (f"n={n}, window={window[0]}..{window[1]}, "
             + ("exhaustive" if exhaustive else f"samples={samples}, seed={seed}"))
@@ -348,7 +354,7 @@ def run_identity_grid(name: str, n: int, window: tuple[int, int] = (-4, 4),
     if name == "theorem1":
         # one private cache per method, shared across the grid
         ev, counterexample = _by_method({m: EvalCache(m) for m in MEMO_ROUTES}), _method_values
-    elif name in ("lemma1", "operator-alt"):
+    elif name in _LEAST_N:
         ev = partial(_mixed_function, seed, n=n)
         extras = [{"function": idx} for idx in range(functions)]
         if name == "lemma1":

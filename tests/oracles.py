@@ -277,6 +277,14 @@ def _three_equal(r):
     return any(len(set(r[j:j + 3])) == 1 for j in range(len(r) - 2))
 
 
+def _alpha3(r):
+    """The polynomial at a row of three entries, in closed form, expanded
+    into monomials."""
+    a, b, c = r
+    return -(a * a * b - a * a * c - a * a - a * b * b - 2 * a * b + a * c * c + 4 * a * c + 3 * a
+             + b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) // 2
+
+
 def chain_closures(row, cache, alt=False):
     """The polynomial at ``row`` by the chain states of the operator
     recursion (``alt`` for the alternative one), as memoized closures: a
@@ -289,15 +297,18 @@ def chain_closures(row, cache, alt=False):
 
     Some values are known without a lookup, as the chain kernel knows them:
     a leaf (a, b) is b - a + 1 on both recursions; on the operator
-    recursion (not ``alt``) a row, or a state whose s[j:], holds three equal
-    neighbours is 0, and a row that misses is looked up once more reflected,
-    (-r_n, ..., -r_1), a hit if found there."""
+    recursion (not ``alt``) a row of three entries is :func:`_alpha3`, which
+    is neither looked up nor stored, a row, or a state whose s[j:], holds
+    three equal neighbours is 0, and a row that misses is looked up once more
+    reflected, (-r_n, ..., -r_1), a hit if found there."""
     states = _STATES.setdefault(cache, {})
     rules = not alt
 
     def ev(r):
         if len(r) == 1:
             return 1
+        if rules and len(r) == 3:
+            return _alpha3(r)
         if rules and _three_equal(r):
             return 0
         cached = cache._store.get(_translated(r))

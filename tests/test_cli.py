@@ -89,6 +89,24 @@ class TestAlphaCommand:
         assert time.perf_counter() - started < 1.0
         assert capsys.readouterr().out == f"{expected}\n"
 
+    def test_wide_row_of_four_settles_its_rows_of_three(self, capsys, monkeypatch):
+        # The leaves of (0, 100, 200, 300) are rows of three entries, which
+        # the operator route sums in closed form: the walk stores only the
+        # row asked for, expands 10,301 chain states and looks up no other
+        # row.  The counts pin the work, whatever the speed of the machine.
+        caches = []
+
+        def record(row, method, cache):
+            caches.append(cache)
+            return alpha(row, method, cache)
+
+        monkeypatch.setattr(monotri.cli, "alpha", record)
+        assert main(["alpha", "--row", "0,100,200,300"]) == 0
+        assert capsys.readouterr().out == "1061516716500\n"
+        [cache] = caches
+        states = sum(len(memo) for memo in cache._states.values())
+        assert (cache.route, len(cache), states, cache.hits, cache.misses) == ("operator", 1, 10301, 0, 1)
+
     def test_all_methods_four_equal_lines(self):
         proc = run_cli("alpha", "--row", "4,2,1,3", "--all-methods")
         assert proc.returncode == 0
@@ -432,6 +450,9 @@ class TestVerifyCommand:
             (["reduction", "--n", "0"], "n must be at least 1, got 0"),
             (["lemma1", "--functions", "0"], "functions must be at least 1"),
             (["operator-alt", "--functions", "-1"], "functions must be at least 1"),
+            (["lemma1", "--n", "1"], "lemma1 needs n of at least 2, got 1"),
+            (["operator-alt", "--n", "1"], "operator-alt needs n of at least 3, got 1"),
+            (["operator-alt", "--n", "2", "--samples", "2"], "operator-alt needs n of at least 3, got 2"),
             (["ratio-scan", "--k", "4", "--n-range", "6..5"], "empty --n-range 6..5"),
             (["rev-dup", "--n-range", "3..2"], "empty --n-range 3..2"),
             (["neighbor-split", "--n", "1"], "neighbor-split has no point to check"),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import random
@@ -21,7 +22,7 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri.evaluate import MEMO_ROUTES, _box_keys, _third_families
+from monotri.evaluate import MEMO_ROUTES, _alpha3, _alpha3_sum, _box_keys, _third_families
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -134,17 +135,18 @@ class TestFlatWalks:
         assert operator_apply_alt(k, fn) == operator_alt_closures(k, fn)
 
     @pytest.mark.parametrize("row, method, value, entries, hits", [
-        (tuple(range(1, 12)), "operator", 31095744852375, 548, 2612),
-        ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 2463, 11150),
+        (tuple(range(1, 12)), "operator", 31095744852375, 523, 2178),
+        ((3, -1, 2, 0, -2, 1, 4), "operator", -2574, 2410, 10208),
         (tuple(range(1, 9)), "operator_alt", 10850216, 795, 2940),
         (tuple(range(1, 9)), "third", 10850216, 803, 47322),
-        ((0, 1000, 2000), "operator", 1003003000, 1, 0),
+        ((0, 1000, 2000), "operator", 1003003000, 0, 0),
     ])
     def test_memo_counters(self, row, method, value, entries, hits):
         # One row lookup per leaf of each chain state the operator routes
         # expand, and one per term of the boxes of third, except the leaves
         # the operator routes settle by rule (rows of length 2, and on
-        # operator rows with three equal neighbours): a change to the chain,
+        # operator rows of length 3 and rows with three equal neighbours; a
+        # row of length 3 asked for is not stored): a change to the chain,
         # to its rules or to the term structure moves these counts.
         cache = EvalCache()
         assert alpha(row, method, cache) == value
@@ -231,7 +233,7 @@ class TestMemoKernel:
         assert shared.misses == cleared.misses
 
     @pytest.mark.parametrize("method, counts, cleared_hits", [
-        ("operator", (313, 1446, 313), 5175),
+        ("operator", (281, 730, 281), 1392),
         ("operator_alt", (633, 1457, 633), 5417),
     ])
     def test_grid_hits_are_pinned(self, method, counts, cleared_hits):
@@ -266,10 +268,12 @@ class TestMemoKernel:
         # of third's boxes, on rows translated by a small and a large shift:
         # keys are translation-normalized, so neither values nor counters
         # move.  Hits are pinned and equal the closure recursion's.  The
-        # leaves of (0, 30, 60) are rows of length 2, which cost no lookup.
-        for row, method, hits in [((3, -1, 2, 0, -2, 1), "operator", 1589), ((7, 0, 9, 2), "operator_alt", 235),
+        # leaves of (0, 30, 60) are rows of length 2 and those of
+        # (0, 20, 40, 60) rows of length 3, which cost no lookup on operator;
+        # the leaves of (0, 8, 16, 24, 32) are wide rows of length 4.
+        for row, method, hits in [((3, -1, 2, 0, -2, 1), "operator", 1113), ((7, 0, 9, 2), "operator_alt", 235),
                                   ((2, 9, 1, 4, 4), "third", 5735), ((0, 30, 60), "operator", 0),
-                                  ((0, 20, 40, 60), "operator", 8599)]:
+                                  ((0, 20, 40, 60), "operator", 0), ((0, 8, 16, 24, 32), "operator", 5140)]:
             row = tuple(v + shift for v in row)
             cache, reference = EvalCache(), EvalCache()
             assert alpha(row, method, cache) == CHAINS[method](row, reference)
@@ -372,6 +376,33 @@ class TestRulesAgainstUnprunedRoutes:
     def test_operator_agrees_on_ties_and_descents(self, row):
         assert (alpha(row, "operator", EvalCache()) == alpha(row, "operator_alt", EvalCache())
                 == alpha(row, "third", EvalCache()))
+
+
+class TestRowsOfThree:
+    """The operator route settles rows of three entries in closed form, a
+    quadratic in the first entry, and sums them over a range by power sums.
+    third and gmt use neither, so they pin both."""
+
+    @staticmethod
+    @functools.cache
+    def cube():
+        """Every row of three entries in -6..6: (row, value by third, by gmt)."""
+        cache = EvalCache("third")
+        return [(row, alpha(row, "third", cache), alpha(row, "gmt")) for row in product(range(-6, 7), repeat=3)]
+
+    def test_closed_form_matches_third_and_gmt(self):
+        for (a, b, c), by_third, by_gmt in self.cube():
+            assert _alpha3(a, b, c) == _alpha3_sum(range(a, a + 1), b, c) == by_third == by_gmt, (a, b, c)
+        assert _alpha3(1, 2, 3) == 7
+
+    def test_range_sum_matches_a_loop(self):
+        # Ascending, empty and inverted ranges over -6..6, against a plain
+        # loop over the values of third; and ranges far wider than that.
+        values = {row: by_third for row, by_third, _ in self.cube()}
+        for b, c, lo, hi in product(range(-6, 7), range(-6, 7), range(-6, 8), range(-6, 8)):
+            assert _alpha3_sum(range(lo, hi), b, c) == sum(values[x, b, c] for x in range(lo, hi)), (lo, hi, b, c)
+        for lo, hi, b, c in [(-1000, 1000, 7, -300), (5, 2005, -40, 10**6), (10**9, 10**9 + 500, 3, 3)]:
+            assert _alpha3_sum(range(lo, hi), b, c) == sum(_alpha3(x, b, c) for x in range(lo, hi))
 
 
 class TestAlpha:
