@@ -10,10 +10,10 @@ decorated objects that violate the interior strict-increase condition via the
 involution leaves exactly the generalized monotone triangles, with specials
 turning into sign-changing pairs and inversions into newcomers.
 
-Two flat walks go over the boxes above each row: :func:`_tn_walk` serves
-only the stream, :func:`enumerate_tn`, and :func:`tn_totals` counts without
-building an object, keeping the totals of each row it finishes, since the
-objects above a row depend on that row alone.
+The stream, :func:`enumerate_tn`, is one flat walk over the boxes above
+each row.  :func:`tn_totals` counts the same objects without building one by
+the memoized walk of the triangle classes, :func:`~monotri.rows.walk_totals`,
+taking the boxes' rows as its edges.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .evaluate import third_families
 from .report import VerificationReport, build_report
-from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count
+from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count, walk_totals
 from .triangles import (
     Position,
     StreamRows,
@@ -113,65 +113,26 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
         yield TnObject(Triangle(StreamRows(rows)), StreamSpecials(chain.from_iterable(specials)))
 
 
+def _tn_edges(row):
+    """No rows charged on entering ``row``, and the edges above it in stream
+    order, each row of each box with the box sign, its rows built lazily."""
+    return 0, ((above, sign) for _, ranges, sign in _boxes(row) for above in product(*ranges))
+
+
 def tn_totals(bottom, limits: EnumerationLimits | None = None) -> tuple[int, int]:
     """(number, sum of the signs) of the decorated triangles with the given
     bottom row: the length of ``enumerate_tn(bottom, limits)`` and the sum of
     its objects' signs, or its budget error, without building an object.
     ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``.
 
-    The objects above a row depend on that row alone, so the walk keeps
-    (objects, rows charged, signed total) for each row it finishes, as
-    :func:`~monotri.rows.triangle_totals` does.  It takes the edges in stream
-    order, expanding the boxes lazily, and charges the budgets by the
-    stream's rule: one row per edge as it is taken, one triangle at each
-    apex.  It skips a walked row only when both budgets absorb that row's
-    totals, so it stops where the stream stops and builds no box row past it.
+    This is :func:`~monotri.rows.walk_totals` over the stream's boxes, with
+    the stream's charges: one row per edge as it is taken, and one triangle
+    at each apex.  The boxes are expanded lazily, so a budget stops the walk
+    before a wide box is built.
     """
     bottom = tuple(bottom)
     check_row(bottom, len(bottom))
-    if not bottom:
-        raise ValueError("the bottom row must not be empty")
-    if len(bottom) == 1:
-        return 1, 1
-    limits = limits or DEFAULT_LIMITS
-    max_rows, max_triangles = limits.max_rows_generated, limits.max_triangles
-    walked: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    objects = rows = 0
-    # A frame: the row, an iterator over (row above, edge sign), the objects and rows
-    # before it, its signed total so far, and the sign of the edge being walked.
-    stack = []
-    top = bottom
-    while True:
-        stack.append([top, ((above, sign) for _, ranges, sign in _boxes(top) for above in product(*ranges)),
-                      objects, rows, 0, 1])
-        while True:
-            frame = stack[-1]
-            for top, sign in frame[1]:
-                rows += 1
-                if rows > max_rows:
-                    raise BudgetExceededError("row generation budget exhausted")
-                if len(top) == 1:
-                    if objects == max_triangles:
-                        raise BudgetExceededError("triangle budget exhausted")
-                    objects += 1
-                    frame[4] += sign
-                    continue
-                seen = walked.get(top)
-                if seen is None or objects + seen[0] > max_triangles or rows + seen[1] > max_rows:
-                    frame[5] = sign
-                    break
-                objects += seen[0]
-                rows += seen[1]
-                frame[4] += sign * seen[2]
-            else:
-                stack.pop()
-                signed = frame[4]
-                walked[frame[0]] = (objects - frame[2], rows - frame[3], signed)
-                if not stack:
-                    return objects, signed
-                stack[-1][4] += stack[-1][5] * signed
-                continue
-            break
+    return walk_totals(bottom, _tn_edges, 1, limits or DEFAULT_LIMITS)
 
 
 def signed_tn_count(bottom) -> int:

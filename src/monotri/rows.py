@@ -4,8 +4,10 @@ Every triangle class here is defined by conditions between consecutive rows,
 so triangles with a prescribed bottom row are generated bottom-up: compute the
 admissible rows that may sit directly above a given row, then recurse.  All
 enumeration is depth-first in lexicographic order of the successive rows,
-which makes every stream deterministic.  :func:`triangle_totals` walks the
-same tree in the same order without building triangles.
+which makes every stream deterministic.  :func:`walk_totals` walks the same
+tree in the same order without building triangles, keeping the totals of
+each row it finishes; it also counts the decorated triangles of
+:mod:`monotri.decorated`.
 
 The decreasing class (dmt) has no row fill of its own: on a weakly decreasing
 bottom row the generalized monotone triangles are exactly the decreasing
@@ -18,6 +20,7 @@ generalized walk checks more than the signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import inf
 from typing import Callable, Iterable, Iterator
 
@@ -241,96 +244,110 @@ def _edge_signs(lower, rows) -> list[int]:
     return [-1 if row_sign_changes(lower, row) & 1 else 1 for row in rows]
 
 
-def _unit_signs(lower, rows) -> list[int]:
-    """The edge signs of monotone triangles: a strictly increasing row has
-    no descent and no equal neighbours, so every sign is +1."""
-    return [1] * len(rows)
+def walk_totals(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], tuple[int, Iterable]],
+                per_edge: int, limits: EnumerationLimits | None) -> tuple[int, int]:
+    """(number, signed total) of the objects above ``bottom``, without
+    building one: the one memoized walk behind :func:`triangle_totals`,
+    :func:`count_triangles`, :func:`signed_gmt_count` and
+    :func:`~monotri.decorated.tn_totals`.
 
+    ``expand(row)`` gives the rows charged on entering ``row`` and an
+    iterator over (row above, edge sign).  Taking an edge charges
+    ``per_edge`` rows, a row of one entry is one object, and an object's
+    sign is the product of the edge signs on its path.  The walk takes the
+    edges in stream order and keeps (objects, rows charged, signed total)
+    for each row it finishes.  It skips a walked row only when both budgets
+    absorb those totals, so it raises the stream's ``BudgetExceededError``
+    where the stream does and never expands a row the stream would not.
 
-def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
-    """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
-    ("gmt", "mt" or "dmt") with the given bottom row, without building one.
-    ``limits=None`` means no budget, not the default budgets.  See
-    :func:`_totals`; for "mt" every edge sign is +1 and none is computed."""
-    return _totals(klass, bottom, limits, _unit_signs if klass == "mt" else _edge_signs)
-
-
-def _totals(klass: str, bottom, limits: EnumerationLimits | None,
-            edge_signs: Callable[[tuple[int, ...], list], list[int]]) -> tuple[int, int]:
-    """(number, signed total) of the triangles of ``klass`` with the given
-    bottom row, with ``edge_signs(row, rows above)`` as the edge signs.
-
-    The walk visits rows in stream order and charges both budgets as the
-    stream does.  A row whose subtree was already walked is skipped whole,
-    charging its stored (triangles, rows generated), when that fits in what
-    is left of both budgets; otherwise the walk goes into it.  So it raises
-    the stream's ``BudgetExceededError`` at the same point and never expands
-    a row the stream would not.  A row's signed total is the sum, over the
-    rows above it, of their signed totals times the edge sign, computed for
-    the rows above a row when it is expanded.  The number does not depend
-    on the edge signs.
+    ``limits=None`` means no budget here.  :func:`triangle_totals` and
+    :func:`signed_gmt_count` pass it on so; :func:`count_triangles`,
+    :func:`~monotri.decorated.tn_totals` and
+    :func:`~monotri.decorated.signed_tn_count` read it as
+    :data:`DEFAULT_LIMITS`.
     """
-    bottom, expand = _class_expansion(klass, bottom)
     if not bottom:
         raise ValueError("the bottom row must not be empty")
     if len(bottom) == 1:
         return 1, 1
     # An unlimited budget is an infinite bound; counts stay exact integers.
-    max_rows, max_triangles = (inf, inf) if limits is None else (limits.max_rows_generated, limits.max_triangles)
+    max_rows, max_objects = (inf, inf) if limits is None else (limits.max_rows_generated, limits.max_triangles)
     walked: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    triangles = rows = 0
-    # A frame: the row, an iterator over (row above, edge sign), the triangles and rows
+    objects = rows = 0
+    # A frame: the row, its iterator over (row above, edge sign), the objects and rows
     # before it, its signed total so far, and the sign of the edge being walked.
     stack = []
     top = bottom
     while True:
-        before = triangles, rows
-        above = expand(top)
-        rows += len(above)
+        charge, edges = expand(top)
+        stack.append([top, edges, objects, rows, 0, 1])
+        rows += charge
         if rows > max_rows:
             raise BudgetExceededError("row generation budget exhausted")
-        if len(top) > 2:
-            stack.append([top, zip(above, edge_signs(top, above)), *before, 0, 1])
-        else:
-            # each row above a row of two entries is the apex of one triangle
-            triangles += len(above)
-            if triangles > max_triangles:
-                raise BudgetExceededError("triangle budget exhausted")
-            signed = sum(edge_signs(top, above))
-            stack.append([top, iter(()), *before, signed, 1])
         while True:
             frame = stack[-1]
             for top, sign in frame[1]:
+                rows += per_edge
+                if rows > max_rows:
+                    raise BudgetExceededError("row generation budget exhausted")
+                if len(top) == 1:
+                    if objects == max_objects:
+                        raise BudgetExceededError("triangle budget exhausted")
+                    objects += 1
+                    frame[4] += sign
+                    continue
                 seen = walked.get(top)
-                if seen is None or triangles + seen[0] > max_triangles or rows + seen[1] > max_rows:
+                if seen is None or objects + seen[0] > max_objects or rows + seen[1] > max_rows:
                     frame[5] = sign
                     break
-                triangles += seen[0]
+                objects += seen[0]
                 rows += seen[1]
                 frame[4] += sign * seen[2]
             else:
                 stack.pop()
                 signed = frame[4]
-                walked[frame[0]] = (triangles - frame[2], rows - frame[3], signed)
+                walked[frame[0]] = (objects - frame[2], rows - frame[3], signed)
                 if not stack:
-                    return triangles, signed
+                    return objects, signed
                 stack[-1][4] += stack[-1][5] * signed
                 continue
             break
 
 
+def _class_totals(klass: str, bottom, limits: EnumerationLimits | None, signed: bool) -> tuple[int, int]:
+    """:func:`walk_totals` over the triangles of ``klass`` with the given
+    bottom row, charging each row's fill on entering it as :func:`_stream`
+    does; every edge sign is +1 unless ``signed``."""
+    bottom, fill = _class_expansion(klass, bottom)
+
+    def expand(row):
+        above = fill(row)
+        return len(above), zip(above, _edge_signs(row, above) if signed else repeat(1))
+
+    return walk_totals(bottom, expand, 0, limits)
+
+
+def triangle_totals(klass: str, bottom, limits: EnumerationLimits | None) -> tuple[int, int]:
+    """(number, sum of the signs (-1)**sc) of the triangles of ``klass``
+    ("gmt", "mt" or "dmt") with the given bottom row: the length of their
+    stream under ``limits`` and the sum of its signs, or its budget error,
+    by :func:`walk_totals` without building a triangle.
+    ``limits=None`` means no budget, not the default budgets.  For "mt"
+    every edge sign is +1 and none is computed."""
+    return _class_totals(klass, bottom, limits, klass != "mt")
+
+
 def count_triangles(klass: str, bottom, limits: EnumerationLimits | None = None) -> int:
     """Number of triangles of ``klass`` ("gmt", "mt" or "dmt") with the given
     bottom row: the length of ``enumerate_<klass>(bottom, limits)``, or its
-    budget error, from the walk of :func:`triangle_totals` without building a
-    triangle or computing an edge sign.  The bottom row's entries are checked
-    on the call, as the stream's are.  ``limits=None`` means the default
-    budgets, :data:`DEFAULT_LIMITS`."""
-    return _totals(klass, bottom, limits or DEFAULT_LIMITS, _unit_signs)[0]
+    budget error, by :func:`walk_totals` without building a triangle or
+    computing an edge sign.  The bottom row's entries are checked on the
+    call, as the stream's are.  ``limits=None`` means the default budgets,
+    :data:`DEFAULT_LIMITS`."""
+    return _class_totals(klass, bottom, limits or DEFAULT_LIMITS, False)[0]
 
 
 def signed_gmt_count(bottom) -> int:
     """Sum of (-1)**sc over all generalized monotone triangles with the given
-    bottom row, by the walk of :func:`triangle_totals` with no budget
-    (``limits=None``)."""
+    bottom row, by :func:`triangle_totals` with no budget (``limits=None``)."""
     return triangle_totals("gmt", bottom, None)[1]

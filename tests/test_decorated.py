@@ -13,7 +13,10 @@ from monotri import (
     TnObject,
     Triangle,
     alpha,
+    count_triangles,
+    enumerate_dmt,
     enumerate_gmt,
+    enumerate_mt,
     enumerate_tn,
     inferred_special_positions,
     involution_step,
@@ -21,6 +24,7 @@ from monotri import (
     signed_gmt_count,
     signed_tn_count,
     tn_totals,
+    triangle_totals,
     validate_tn,
     verify_reduction,
 )
@@ -165,27 +169,41 @@ class TestFlatWalk:
         with pytest.raises(BudgetExceededError, match="triangle budget exhausted"):
             tn_totals(range(1, 8))
 
-    @pytest.mark.parametrize("bottom, objects, rows, signed", [
-        ((3, 1, 4, 2, 5), 814, 1472, 138),
-        ((1, 2, 3, 4, 5), 2301, 3851, 429),
+    # The totals of each row are the stream's: its length and signed sum,
+    # and the least row budget under which it ends.
+    @pytest.mark.parametrize("kind, bottom, objects, rows, signed", [
+        ("tn", (3, 1, 4, 2, 5), 814, 1472, 138),
+        ("tn", (1, 2, 3, 4, 5), 2301, 3851, 429),
+        ("gmt", (2, 0, 3, 3, 1, 4), 1106, 1894, 208),
+        ("mt", (1, 2, 4, 5, 7), 5551, 7439, 5551),
+        ("dmt", (9, 7, 7, 5, 3, 2, 0), 870, 2531, -26),
     ])
-    def test_budgets_that_just_fit_or_just_do_not(self, bottom, objects, rows, signed):
+    def test_budgets_that_just_fit_or_just_do_not(self, kind, bottom, objects, rows, signed):
         # The walk skips a row it has walked only when both budgets absorb
         # that row's totals, so at one below either total it must go into
         # the row that no longer fits and stop where the stream stops.
+        if kind == "tn":
+            stream, walks = enumerate_tn, [(lambda limits: tn_totals(bottom, limits), (objects, signed))]
+        else:
+            stream = {"gmt": enumerate_gmt, "mt": enumerate_mt, "dmt": enumerate_dmt}[kind]
+            walks = [(lambda limits: count_triangles(kind, bottom, limits), objects),
+                     (lambda limits: triangle_totals(kind, bottom, limits), (objects, signed))]
         for limits, message in [
             (EnumerationLimits(max_rows_generated=rows, max_triangles=objects), None),
             (EnumerationLimits(max_rows_generated=rows - 1, max_triangles=objects), "row generation"),
             (EnumerationLimits(max_rows_generated=rows, max_triangles=objects - 1), "triangle"),
         ]:
-            streamed, error = drain(enumerate_tn(bottom, limits), BudgetExceededError)
+            streamed, error = drain(stream(bottom, limits), BudgetExceededError)
             if message is None:
                 assert error is None and len(streamed) == objects
-                assert tn_totals(bottom, limits) == (objects, signed)
+                assert sum(item.sign if kind == "tn" else sc_statistic(item).sign for item in streamed) == signed
+                for walk, totals in walks:
+                    assert walk(limits) == totals
             else:
                 assert error == f"{message} budget exhausted"
-                with pytest.raises(BudgetExceededError, match=error):
-                    tn_totals(bottom, limits)
+                for walk, _ in walks:
+                    with pytest.raises(BudgetExceededError, match=error):
+                        walk(limits)
 
     def test_empty_bottom_raises_on_first_next(self):
         stream = enumerate_tn(())

@@ -494,22 +494,33 @@ class TestCountTriangles:
         with pytest.raises(BudgetExceededError, match="row generation budget exhausted"):
             count_triangles("mt", (2, 4, 5, 8, 9), EnumerationLimits(max_rows_generated=3))
 
-    def test_never_expands_more_rows_than_the_stream(self, monkeypatch):
+    @pytest.mark.parametrize("klass, bottom, fill, budgets", [
+        ("mt", (2, 4, 5, 8, 9), "mt_admissible_rows",
+         (EnumerationLimits(max_triangles=5000), EnumerationLimits(max_rows_generated=900))),
+        # descents and ties, so the signed walk's edge signs are not all +1
+        ("gmt", (2, 0, 3, 3, 1, 4), "gmt_admissible_rows",
+         (EnumerationLimits(max_triangles=400), EnumerationLimits(max_rows_generated=700))),
+        ("dmt", (9, 7, 7, 5, 3, 2, 0), "gmt_admissible_rows",
+         (EnumerationLimits(max_triangles=300), EnumerationLimits(max_rows_generated=900))),
+    ])
+    def test_never_expands_more_rows_than_the_stream(self, monkeypatch, klass, bottom, fill, budgets):
         calls = []
+        expand = getattr(monotri.rows, fill)
 
         def counted(row):
             calls.append(row)
-            return mt_admissible_rows(row)
+            return expand(row)
 
-        monkeypatch.setattr(monotri.rows, "mt_admissible_rows", counted)
-        bottom = (2, 4, 5, 8, 9)
-        for limits in (None, EnumerationLimits(max_triangles=5000), EnumerationLimits(max_rows_generated=900)):
+        monkeypatch.setattr(monotri.rows, fill, counted)
+        walks = (lambda limits: count_triangles(klass, bottom, limits),
+                 lambda limits: triangle_totals(klass, bottom, limits or EnumerationLimits()))
+        for limits, walk in product((None, *budgets), walks):
             calls.clear()
-            _drain(enumerate_mt(bottom, limits))
+            _drain(STREAMS[klass](bottom, limits))
             streamed = list(calls)
             calls.clear()
             try:
-                count_triangles("mt", bottom, limits)
+                walk(limits)
             except BudgetExceededError:
                 pass
             # the stream fills each distinct row once
