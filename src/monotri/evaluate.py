@@ -82,6 +82,19 @@ def _alpha3_sum(values: range, b: int, c: int) -> int:
              + (b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) * (hi - lo)) // 2
 
 
+def _alpha4(a: int, b: int, c: int, d: int) -> int:
+    """The polynomial at a row of four entries, in closed form.  It has
+    degree 3 in each entry and is translation invariant, so it is a fixed
+    polynomial in the gaps b - a, c - a, d - a, written in Horner form in
+    the first of them; the division by 12 is exact."""
+    b, c, d = b - a, c - a, d - a
+    e = d + 3
+    return ((((e * c * (d - 1 - c) + 2 * d * d + 8 * d + 4) * b
+              + e * c * (c * c + 3 * c - d * e) - 2 * d * (d + 2) * (d + 4)) * b
+             + e * c * (c * d * d - c * c * (d + 1) + e * (2 * d - 3)) + 4 * (d * d + 4 * d + 5)) * b
+            - c * (d + 4) * (c * c * (d + 1) - c * d * (d - 1) - 3 * d * d - 4 * d + 5)) // 12
+
+
 # The operator chain.  The operator over bounds k, applied to a function of
 # len(k) - 1 arguments, unrolls into chain states.  A state (j, s) is a tuple
 # s as long as k whose first j entries are bounds still to expand and whose
@@ -107,7 +120,7 @@ def _alpha3_sum(values: range, b: int, c: int) -> int:
 #
 # With an EvalCache some leaves and states have a known value and are not
 # expanded or looked up.  A leaf (a, b) is worth b - a + 1 on both operator
-# routes.  Three more rules hold on the operator route alone, so that the
+# routes.  Four more rules hold on the operator route alone, so that the
 # other routes, which use none of them, check them.  A row (a, b, c) is worth
 # _alpha3(a, b, c), a quadratic in a, so a state's leaves (x, t1, t2) sum to
 # _alpha3_sum over the range of x, and no row of length 3 is looked up,
@@ -115,8 +128,11 @@ def _alpha3_sum(values: range, b: int, c: int) -> int:
 # generalized monotone triangle row fits above them, and so is a state whose
 # s[j:] holds three, since every leaf below it keeps s[j:]; as every
 # descendant keeps s[j:], three equal neighbours can only close at the entry
-# a child fixes last.  And a row that misses is looked up reflected,
-# alpha(k) = alpha(-k_n, ..., -k_1), before it is expanded.
+# a child fixes last.  A row that misses is looked up reflected,
+# alpha(k) = alpha(-k_n, ..., -k_1), before it is expanded.  And a row
+# (a, b, c, d) that misses both lookups is worth _alpha4(a, b, c, d): it is
+# stored and counted as a miss like an expanded row, but never expanded, so
+# rows and counters are those of the expansion and only the states are fewer.
 
 
 def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
@@ -148,8 +164,11 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
     comment above); it checks the whole row ``k`` once and then only the
     entry each child fixes, at s[j:j+3] for a state and at the first three
     entries of a leaf row.  On a miss it looks the row up reflected before
-    expanding it.  A row settled by rule or in closed form counts as
-    neither a hit nor a miss, and a row found reflected counts as a hit.
+    expanding it; a row of length 4, ``k`` itself or a leaf, that misses
+    both lookups it settles by :func:`_alpha4` and stores without expanding
+    it.  A row settled by rule or in closed form counts as neither a hit nor
+    a miss, except that a settled row of length 4 counts as a miss, as its
+    expansion would; a row found reflected counts as a hit.
     """
     alt = route == "operator_alt"
     pruned = route == "operator" and cache is not None
@@ -178,6 +197,9 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                         value, lookups = 0, lookups - 1
                     else:
                         value = get(tuple([child[-1] - v for v in reversed(child)]))
+                        if value is None and len(child) == 4:
+                            value = d[child] = _alpha4(*child)
+                            misses += 1
                 if value is None:
                     misses += d is store
                     stack.append((target, key, total, groups, keys, sign, d, j))
@@ -303,7 +325,10 @@ class EvalCache:
     neighbours and at most one of a row and its reflection.  Their cache
     files hold fewer records than files written before these rules; such
     older files still load, since every record in them holds the same value,
-    and the operator route then never reads their rows of length 3.
+    and the operator route then never reads their rows of length 3.  The
+    operator route settles a row of length 4 in closed form but still stores
+    it and counts it as a miss, so its cache files and counters are those of
+    the expansion it replaces; only its states are fewer.
 
     ``route``, one of ``MEMO_ROUTES``, names the route whose values the
     cache holds; gmt and mt keep no memo.  A saved cache file starts with

@@ -300,7 +300,10 @@ def chain_closures(row, cache, alt=False):
     recursion (not ``alt``) a row of three entries is :func:`_alpha3`, which
     is neither looked up nor stored, a row, or a state whose s[j:], holds
     three equal neighbours is 0, and a row that misses is looked up once more
-    reflected, (-r_n, ..., -r_1), a hit if found there."""
+    reflected, (-r_n, ..., -r_1), a hit if found there.  A row of four entries
+    that misses both lookups is expanded here, where the chain kernel settles
+    it in closed form (:func:`monotri.evaluate._alpha4`) with the same rows
+    stored and counted: comparing the two checks that closed form."""
     states = _STATES.setdefault(cache, {})
     rules = not alt
 

@@ -22,7 +22,7 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri.evaluate import MEMO_ROUTES, _alpha3, _alpha3_sum, _box_keys, _third_families
+from monotri.evaluate import MEMO_ROUTES, _alpha3, _alpha3_sum, _alpha4, _box_keys, _third_families
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -151,6 +151,15 @@ class TestFlatWalks:
         cache = EvalCache()
         assert alpha(row, method, cache) == value
         assert (len(cache), cache.hits, cache.misses) == (entries, hits, entries)
+
+    @pytest.mark.parametrize("row, states", [(tuple(range(1, 12)), 4865), ((3, -1, 2, 0, -2, 1, 4), 13259)])
+    def test_operator_chain_states(self, row, states):
+        # The operator route settles a row of length 4 that misses in closed
+        # form, stored and missed as its expansion would be (the counters
+        # above), so only the chain states it keeps show that it expands none.
+        cache = EvalCache()
+        alpha(row, "operator", cache)
+        assert sum(len(memo) for memo in cache._states.values()) == states
 
 
 ROUTES = {
@@ -405,6 +414,55 @@ class TestRowsOfThree:
             assert _alpha3_sum(range(lo, hi), b, c) == sum(_alpha3(x, b, c) for x in range(lo, hi))
 
 
+class TestRowsOfFour:
+    """The operator route settles a row of four entries that misses its
+    lookups by a closed form, a polynomial of degree 3 in each entry.
+    third, gmt and operator_alt use none, so they pin it."""
+
+    @staticmethod
+    @functools.cache
+    def hypercube():
+        """Every row of four entries in -4..4: (row, value by third, by gmt)."""
+        cache = EvalCache("third")
+        return [(row, alpha(row, "third", cache), alpha(row, "gmt")) for row in product(range(-4, 5), repeat=4)]
+
+    def test_closed_form_matches_third_and_gmt(self):
+        for row, by_third, by_gmt in self.hypercube():
+            assert _alpha4(*row) == by_third == by_gmt, row
+        assert _alpha4(1, 2, 3, 4) == 42
+        assert _alpha4(4, 2, 1, 3) == -2
+
+    @pytest.mark.parametrize("old, new", [("8 * d + 4", "8 * d + 5"), ("(2 * d - 3)", "(2 * d - 2)"),
+                                          ("3 * d * d - 4 * d", "3 * d * d - 3 * d")])
+    def test_a_changed_coefficient_fails(self, old, new):
+        # A copy of the closed form with one coefficient changed disagrees
+        # with third somewhere on the grid, so the check above can fail.
+        source = inspect.getsource(_alpha4)
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), namespace)
+        changed = namespace["_alpha4"]
+        assert any(changed(*row) != by_third for row, by_third, _ in self.hypercube())
+
+    def test_wide_row_expands_no_state(self):
+        # The value the expansion gives, with no chain state and one stored row.
+        cache = EvalCache()
+        assert alpha((0, 300, 600, 900), "operator", cache) == 743701950449500
+        assert not any(cache._states.values())
+        assert counters(cache) == (1, 0, 1)
+
+    def test_operator_alt_still_expands_rows_of_four(self):
+        # The leaves of (2, 9, 1, 4, 4) are rows of four.  The operator route
+        # keeps only states as long as the row; operator_alt, with the same
+        # value, keeps states of the rows of four and three it expands too.
+        kept = {}
+        for method in ("operator", "operator_alt"):
+            cache = EvalCache()
+            assert alpha((2, 9, 1, 4, 4), method, cache) == -2240
+            kept[method] = {len(state) for memo in cache._states.values() for state in memo}
+        assert kept == {"operator": {5}, "operator_alt": {3, 4, 5}}
+
+
 class TestAlpha:
     def test_golden_values(self):
         assert alpha((2, 4, 5, 8, 9)) == 16939
@@ -638,15 +696,17 @@ class TestEvalCache:
         assert cache.route == "operator"
 
     def test_states_keep_a_cache_on_its_route(self):
+        # A row of five: the operator route settles rows of four without
+        # states, but still expands this one.
         cache = EvalCache()
-        assert alpha((4, 2, 1, 3), "operator", cache) == -2
+        assert alpha((2, 9, 1, 4, 4), "operator", cache) == -2240
         with pytest.raises(ValueError, match="holds values of route 'operator', not 'operator_alt'"):
-            alpha((4, 2, 1, 3), "operator_alt", cache)
+            alpha((2, 9, 1, 4, 4), "operator_alt", cache)
         # States alone make a cache non-empty too.
         cache._store.clear()
         assert any(cache._states.values())
         with pytest.raises(ValueError, match="holds values of route 'operator', not 'operator_alt'"):
-            alpha((4, 2, 1, 3), "operator_alt", cache)
+            alpha((2, 9, 1, 4, 4), "operator_alt", cache)
 
     def test_load_merges_rows_and_no_states(self, tmp_path):
         # States are neither saved nor loaded: a cache with states saves the
