@@ -70,24 +70,11 @@ def _alpha3(a: int, b: int, c: int) -> int:
              + b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) // 2
 
 
-def _alpha3_sum(values: range, b: int, c: int) -> int:
-    """The sum of :func:`_alpha3` (x, b, c) over x in ``values``, a range of
-    step 1: the polynomial is quadratic in x, so the sum takes the power sums
-    of x of degree 0 to 2 over the range, and the halving is exact."""
-    lo = values.start
-    hi = lo + len(values)
-    s1 = (hi * (hi - 1) - lo * (lo - 1)) // 2
-    s2 = (hi * (hi - 1) * (2 * hi - 1) - lo * (lo - 1) * (2 * lo - 1)) // 6
-    return -((b - c - 1) * s2 + (c * c + 4 * c + 3 - b * b - 2 * b) * s1
-             + (b * b * c + 2 * b * b - b * c * c - 2 * b * c - c * c - 3 * c) * (hi - lo)) // 2
-
-
-def _alpha4(a: int, b: int, c: int, d: int) -> int:
-    """The polynomial at a row of four entries, in closed form.  It has
-    degree 3 in each entry and is translation invariant, so it is a fixed
-    polynomial in the gaps b - a, c - a, d - a, written in Horner form in
-    the first of them; the division by 12 is exact."""
-    b, c, d = b - a, c - a, d - a
+def _alpha4(b: int, c: int, d: int) -> int:
+    """The polynomial at a row (0, b, c, d), in closed form.  It has degree 3
+    in each entry and is translation invariant, so this is its value at any
+    row of four entries whose gaps to the first entry are b, c, d; it is
+    written in Horner form in b, and the division by 12 is exact."""
     e = d + 3
     return ((((e * c * (d - 1 - c) + 2 * d * d + 8 * d + 4) * b
               + e * c * (c * c + 3 * c - d * e) - 2 * d * (d + 2) * (d + 4)) * b
@@ -120,19 +107,19 @@ def _alpha4(a: int, b: int, c: int, d: int) -> int:
 #
 # With an EvalCache some leaves and states have a known value and are not
 # expanded or looked up.  A leaf (a, b) is worth b - a + 1 on both operator
-# routes.  Four more rules hold on the operator route alone, so that the
-# other routes, which use none of them, check them.  A row (a, b, c) is worth
-# _alpha3(a, b, c), a quadratic in a, so a state's leaves (x, t1, t2) sum to
-# _alpha3_sum over the range of x, and no row of length 3 is looked up,
-# expanded or stored.  A row with three equal neighbours is worth 0, since no
-# generalized monotone triangle row fits above them, and so is a state whose
-# s[j:] holds three, since every leaf below it keeps s[j:]; as every
-# descendant keeps s[j:], three equal neighbours can only close at the entry
-# a child fixes last.  A row that misses is looked up reflected,
+# routes.  Four more rules hold on the operator route alone, so that the other
+# routes, which use none of them, check them.  A row (a, b, c) asked for is
+# worth _alpha3(a, b, c); a row of length 3 is never a leaf there, as no row
+# of length 4 is expanded.  A row with three equal neighbours is worth 0,
+# since no generalized monotone triangle row fits above them, and so is a
+# state whose s[j:] holds three, since every leaf below it keeps s[j:]; as
+# every descendant keeps s[j:], three equal neighbours can only close at the
+# entry a child fixes last.  A row that misses is looked up reflected,
 # alpha(k) = alpha(-k_n, ..., -k_1), before it is expanded.  And a row
-# (a, b, c, d) that misses both lookups is worth _alpha4(a, b, c, d): it is
-# stored and counted as a miss like an expanded row, but never expanded, so
-# rows and counters are those of the expansion and only the states are fewer.
+# (a, b, c, d) that misses both lookups is worth _alpha4(b - a, c - a, d - a):
+# it is stored and counted as a miss like an expanded row, but never expanded,
+# so rows and counters are those of the expansion and only the states are
+# fewer.
 
 
 def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache | None = None) -> int:
@@ -157,16 +144,15 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
 
     With a cache the operator routes settle a leaf of length 2 in closed
     form, summing a state's leaves (x, t) as an arithmetic series.  The
-    operator route also settles a leaf of length 3 in closed form, summing a
-    state's leaves (x, t1, t2) by :func:`_alpha3_sum` and the pinned leaf by
-    :func:`_alpha3`, and returns a row ``k`` of length 3 at once.  It settles
-    by rule the rows and states with three equal neighbours (see the
-    comment above); it checks the whole row ``k`` once and then only the
-    entry each child fixes, at s[j:j+3] for a state and at the first three
-    entries of a leaf row.  On a miss it looks the row up reflected before
-    expanding it; a row of length 4, ``k`` itself or a leaf, that misses
-    both lookups it settles by :func:`_alpha4` and stores without expanding
-    it.  A row settled by rule or in closed form counts as neither a hit nor
+    operator route also returns a row ``k`` of length 3 at once, by
+    :func:`_alpha3`.  It settles by rule the rows and states with three
+    equal neighbours (see the comment above); it checks the whole row ``k``
+    once and then only the entry each child fixes, at s[j:j+3] for a state
+    and at the first three entries of a leaf row.  On a miss it looks the
+    row up reflected before expanding it; a row of length 4, ``k`` itself or
+    a leaf, that misses both lookups it settles by :func:`_alpha4` and
+    stores without expanding it, so no row of length 3 is ever a leaf.  A
+    row settled by rule or in closed form counts as neither a hit nor
     a miss, except that a settled row of length 4 counts as a miss, as its
     expansion would; a row found reflected counts as a hit.
     """
@@ -198,7 +184,7 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     else:
                         value = get(tuple([child[-1] - v for v in reversed(child)]))
                         if value is None and len(child) == 4:
-                            value = d[child] = _alpha4(*child)
+                            value = d[child] = _alpha4(*child[1:])
                             misses += 1
                 if value is None:
                     misses += d is store
@@ -219,8 +205,6 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                     elif len(tail) == 1:
                         # Rows (x, t) are worth t - x + 1: an arithmetic series.
                         total += sign * (len(values) * (2 * tail[0] + 3 - values.start - values.stop) // 2)
-                    elif len(tail) == 2 and pruned:
-                        total += sign * _alpha3_sum(values, *tail)
                     elif values:
                         lookups += len(values)
                         groups.append((sign, store, _pinned_keys(values, tail), len(tail) + 1))
@@ -238,8 +222,6 @@ def _chain(k: Row, route: str, fn: RowFunction | None = None, cache: EvalCache |
                             dest, total = None, total + sign
                         elif len(other) == 3:
                             dest, total = None, total + sign * (other[2] - other[1] + 1)
-                        elif len(other) == 4 and pruned:
-                            dest, total = None, total + sign * _alpha3(*other[1:])
                         else:
                             dest, i, lookups = store, len(other) - 1, lookups + 1
                             other = tuple([v - other[1] for v in other[1:]])

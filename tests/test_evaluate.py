@@ -22,7 +22,7 @@ from monotri import (
     operator_apply_alt,
     row_sum_identity,
 )
-from monotri.evaluate import MEMO_ROUTES, _alpha3, _alpha3_sum, _alpha4, _box_keys, _third_families
+from monotri.evaluate import MEMO_ROUTES, _alpha3, _alpha4, _box_keys, _third_families
 from monotri.identities import hashed_row_function
 from oracles import (
     chain_closures,
@@ -388,30 +388,14 @@ class TestRulesAgainstUnprunedRoutes:
 
 
 class TestRowsOfThree:
-    """The operator route settles rows of three entries in closed form, a
-    quadratic in the first entry, and sums them over a range by power sums.
-    third and gmt use neither, so they pin both."""
-
-    @staticmethod
-    @functools.cache
-    def cube():
-        """Every row of three entries in -6..6: (row, value by third, by gmt)."""
-        cache = EvalCache("third")
-        return [(row, alpha(row, "third", cache), alpha(row, "gmt")) for row in product(range(-6, 7), repeat=3)]
+    """The operator route settles a row of three entries asked for in closed
+    form.  third and gmt do not use it, so they pin it."""
 
     def test_closed_form_matches_third_and_gmt(self):
-        for (a, b, c), by_third, by_gmt in self.cube():
-            assert _alpha3(a, b, c) == _alpha3_sum(range(a, a + 1), b, c) == by_third == by_gmt, (a, b, c)
+        cache = EvalCache("third")
+        for a, b, c in product(range(-6, 7), repeat=3):
+            assert _alpha3(a, b, c) == alpha((a, b, c), "third", cache) == alpha((a, b, c), "gmt"), (a, b, c)
         assert _alpha3(1, 2, 3) == 7
-
-    def test_range_sum_matches_a_loop(self):
-        # Ascending, empty and inverted ranges over -6..6, against a plain
-        # loop over the values of third; and ranges far wider than that.
-        values = {row: by_third for row, by_third, _ in self.cube()}
-        for b, c, lo, hi in product(range(-6, 7), range(-6, 7), range(-6, 8), range(-6, 8)):
-            assert _alpha3_sum(range(lo, hi), b, c) == sum(values[x, b, c] for x in range(lo, hi)), (lo, hi, b, c)
-        for lo, hi, b, c in [(-1000, 1000, 7, -300), (5, 2005, -40, 10**6), (10**9, 10**9 + 500, 3, 3)]:
-            assert _alpha3_sum(range(lo, hi), b, c) == sum(_alpha3(x, b, c) for x in range(lo, hi))
 
 
 class TestRowsOfFour:
@@ -427,10 +411,10 @@ class TestRowsOfFour:
         return [(row, alpha(row, "third", cache), alpha(row, "gmt")) for row in product(range(-4, 5), repeat=4)]
 
     def test_closed_form_matches_third_and_gmt(self):
-        for row, by_third, by_gmt in self.hypercube():
-            assert _alpha4(*row) == by_third == by_gmt, row
-        assert _alpha4(1, 2, 3, 4) == 42
-        assert _alpha4(4, 2, 1, 3) == -2
+        for (a, b, c, d), by_third, by_gmt in self.hypercube():
+            assert _alpha4(b - a, c - a, d - a) == by_third == by_gmt, (a, b, c, d)
+        assert _alpha4(1, 2, 3) == 42  # the row 1, 2, 3, 4
+        assert _alpha4(-2, -3, -1) == -2  # the row 4, 2, 1, 3
 
     @pytest.mark.parametrize("old, new", [("8 * d + 4", "8 * d + 5"), ("(2 * d - 3)", "(2 * d - 2)"),
                                           ("3 * d * d - 4 * d", "3 * d * d - 3 * d")])
@@ -442,7 +426,7 @@ class TestRowsOfFour:
         namespace = {}
         exec(source.replace(old, new), namespace)
         changed = namespace["_alpha4"]
-        assert any(changed(*row) != by_third for row, by_third, _ in self.hypercube())
+        assert any(changed(b - a, c - a, d - a) != by_third for (a, b, c, d), by_third, _ in self.hypercube())
 
     def test_wide_row_expands_no_state(self):
         # The value the expansion gives, with no chain state and one stored row.
