@@ -10,20 +10,21 @@ decorated objects that violate the interior strict-increase condition via the
 involution leaves exactly the generalized monotone triangles, with specials
 turning into sign-changing pairs and inversions into newcomers.
 
-The stream, :func:`enumerate_tn`, is one flat walk over the boxes above
-each row.  :func:`tn_totals` counts the same objects without building one by
-the memoized walk of the triangle classes, :func:`~monotri.rows.walk_totals`,
-taking the boxes' rows as its edges.
+The stream, :func:`enumerate_tn`, and the count, :func:`tn_totals`, run on
+the two walks of the triangle classes, :func:`~monotri.rows.walk_stream` and
+the memoized :func:`~monotri.rows.walk_totals`, taking the rows of the boxes
+above a row as the nodes above it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product
 from typing import Iterator
 
 from .evaluate import third_families
 from .report import VerificationReport, build_report
-from .rows import DEFAULT_LIMITS, BudgetExceededError, EnumerationLimits, enumerate_gmt, signed_gmt_count, walk_totals
+from .rows import DEFAULT_LIMITS, EnumerationLimits, enumerate_gmt, signed_gmt_count, walk_stream, walk_totals
 from .triangles import (
     Position,
     StreamRows,
@@ -48,53 +49,9 @@ def _boxes(row) -> list[tuple[tuple[Position, ...], tuple[range, ...], int]]:
             for chosen, ranges, sign in third_families(row)]
 
 
-def _tn_walk(bottom, limits: EnumerationLimits):
-    """Depth-first walk over the decorated triangles above ``bottom``: ``path``
-    holds the edges (row, specials, sign of the path up to it) taken from the
-    bottom up, ``pending`` an iterator over the edges still to try above each
-    row with that row's sign.  The boxes above a row are found on its first
-    visit and kept for the rest of the walk; their rows are expanded lazily
-    on each visit, so a budget stops the walk before a wide box is built.
-    Yields ``path`` at each object; the walk goes on to change it.  Each row
-    taken charges the row budget, and each object the triangle budget before
-    it is yielded.  ``bottom``'s entries are checked first; every row above
-    it is built from ``range`` objects."""
-    check_row(bottom, len(bottom))
-    if not bottom:
-        raise ValueError("the bottom row must not be empty")
-    rows_left = limits.max_rows_generated
-    triangles_left = limits.max_triangles
-    boxes: dict[tuple[int, ...], list] = {}
-    path, pending = [(bottom, (), 1)], []
-    while True:
-        row, _, sign = path[-1]
-        if len(row) > 1:
-            row_boxes = boxes.get(row)
-            if row_boxes is None:
-                row_boxes = boxes[row] = _boxes(row)
-            pending.append((((above, special, box_sign)
-                             for special, ranges, box_sign in row_boxes
-                             for above in product(*ranges)), sign))
-        else:
-            if triangles_left == 0:
-                raise BudgetExceededError("triangle budget exhausted")
-            triangles_left -= 1
-            yield path
-            path.pop()
-        while pending:
-            edges, sign = pending[-1]
-            edge = next(edges, None)
-            if edge is not None:
-                rows_left -= 1
-                if rows_left < 0:
-                    raise BudgetExceededError("row generation budget exhausted")
-                above, special, edge_sign = edge
-                path.append((above, special, sign * edge_sign))
-                break
-            pending.pop()
-            path.pop()
-        else:
-            return
+def _tn_object(path) -> TnObject:
+    rows, specials = zip(*path)
+    return TnObject(Triangle(StreamRows(rows)), StreamSpecials(chain.from_iterable(specials)))
 
 
 def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[TnObject]:
@@ -105,12 +62,21 @@ def enumerate_tn(bottom, limits: EnumerationLimits | None = None) -> Iterator[Tn
     smallest size first); specials pin both parents to their own value, and
     the remaining positions of the row above range over the interval between
     their lower neighbours (strictly between, under a strict descent).  The
-    bottom row's entries are checked before the walk starts.
-    ``limits=None`` means the default budgets, ``DEFAULT_LIMITS``.
+    stream is :func:`~monotri.rows.walk_stream` over nodes (row, specials it
+    gives the row below); the boxes above a row are kept for the stream and
+    their rows built lazily, one charged as each is taken, so a budget stops
+    the stream before a wide box is built.  The bottom row's entries are
+    checked on the call.  ``limits=None`` means the default budgets,
+    ``DEFAULT_LIMITS``.
     """
-    for path in _tn_walk(tuple(bottom), limits or DEFAULT_LIMITS):
-        rows, specials, _ = zip(*reversed(path))
-        yield TnObject(Triangle(StreamRows(rows)), StreamSpecials(chain.from_iterable(specials)))
+    bottom = tuple(bottom)
+    check_row(bottom, len(bottom))
+    boxes = cache(_boxes)
+
+    def expand(node):
+        return 0, ((above, special) for special, ranges, _ in boxes(node[0]) for above in product(*ranges))
+
+    return map(_tn_object, walk_stream((bottom, ()), len(bottom), expand, 1, limits or DEFAULT_LIMITS))
 
 
 def _tn_edges(row):

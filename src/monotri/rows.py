@@ -4,10 +4,12 @@ Every triangle class here is defined by conditions between consecutive rows,
 so triangles with a prescribed bottom row are generated bottom-up: compute the
 admissible rows that may sit directly above a given row, then recurse.  All
 enumeration is depth-first in lexicographic order of the successive rows,
-which makes every stream deterministic.  :func:`walk_totals` walks the same
-tree in the same order without building triangles, keeping the totals of
-each row it finishes; it also counts the decorated triangles of
-:mod:`monotri.decorated`.
+which makes every stream deterministic.  Two walks charge the budgets, for
+these classes and for the decorated triangles of :mod:`monotri.decorated`
+alike, each given an expansion and its charging rule: :func:`walk_stream`
+yields the path of each object, which the streams turn into triangles, and
+:func:`walk_totals` walks the same tree in the same order without building
+one, keeping the totals of each row it finishes.
 
 The decreasing class (dmt) has no row fill of its own: on a weakly decreasing
 bottom row the generalized monotone triangles are exactly the decreasing
@@ -20,6 +22,7 @@ generalized walk checks more than the signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from math import inf
 from typing import Callable, Iterable, Iterator
@@ -27,6 +30,7 @@ from typing import Callable, Iterable, Iterator
 from .triangles import (
     StreamRows,
     Triangle,
+    _is_integer,
     check_row,
     extended_range,
     has_equal_triple,
@@ -48,6 +52,10 @@ class EnumerationLimits:
     max_triangles: int = 1_000_000
 
     def __post_init__(self):
+        # The walks stop where a count equals a budget, so a budget must be an int.
+        for name in ("max_rows_generated", "max_triangles"):
+            if not _is_integer(getattr(self, name)):
+                raise TypeError(f"non-integer budget {name}={getattr(self, name)!r}")
         if self.max_rows_generated <= 0 or self.max_triangles <= 0:
             raise ValueError("enumeration budgets must be positive")
 
@@ -165,48 +173,51 @@ def _class_expansion(klass: str, bottom) -> tuple[tuple[int, ...], Callable]:
     return bottom, mt_admissible_rows if klass == "mt" else gmt_admissible_rows
 
 
-def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tuple[int, ...]]],
-            limits: EnumerationLimits) -> Iterator[Triangle]:
-    """Depth-first walk over an explicit stack: ``path`` holds the rows from
-    the bottom up, ``pending`` an iterator over the rows still to try above
-    each of them.  The rows above a row depend on that row alone, so each
-    distinct row is filled once and its list kept for the rest of the
-    stream.  Every visit to a row, filled or kept, charges its admissible
-    rows to the row budget, so the kept lists hold no more rows than were
-    charged; each triangle charges one to the triangle budget before it is
-    yielded."""
-    if not bottom:
+def walk_stream(bottom, size: int, expand: Callable[[object], tuple[int, Iterable]], per_edge: int,
+                limits: EnumerationLimits) -> Iterator[tuple]:
+    """The objects above the node ``bottom``, a bottom row of ``size``
+    entries, depth-first: the one stream walk behind the ``enumerate_*``
+    streams.  ``expand(node)`` gives the rows charged on entering a node and
+    the nodes above it, each charging ``per_edge`` rows as it is taken, as in
+    :func:`walk_totals`; the walk does not look inside a node.  A path of
+    ``size`` nodes is an object, yielded as a tuple of its nodes top down
+    once it has charged the triangle budget.  ``path`` holds the nodes from
+    the bottom up and ``pending`` the nodes still to try above each but the
+    last; the apexes above the last come in one loop."""
+    if not size:
         raise ValueError("the bottom row must not be empty")
     rows_left = limits.max_rows_generated
-    triangles_left = limits.max_triangles
-    if len(bottom) == 1:
-        yield Triangle(StreamRows((bottom,)))
+    objects_left = limits.max_triangles
+    if size == 1:  # a budget of at least one triangle admits it
+        yield bottom,
         return
     path = [bottom]
     pending = []
-    filled: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     while True:
-        top = path[-1]
-        above = filled.get(top)
-        if above is None:
-            above = filled[top] = expand(top)
-        rows_left -= len(above)
+        charge, above = expand(path[-1])
+        rows_left -= charge
         if rows_left < 0:
             raise BudgetExceededError("row generation budget exhausted")
-        if len(top) == 2:
+        if len(path) == size - 1:
             below = path[::-1]
             for apex in above:
-                if triangles_left == 0:
+                rows_left -= per_edge
+                if rows_left < 0:
+                    raise BudgetExceededError("row generation budget exhausted")
+                if objects_left == 0:
                     raise BudgetExceededError("triangle budget exhausted")
-                triangles_left -= 1
-                yield Triangle(StreamRows((apex, *below)))
+                objects_left -= 1
+                yield apex, *below
             path.pop()
         else:
             pending.append(iter(above))
         while pending:
-            row = next(pending[-1], None)
-            if row is not None:
-                path.append(row)
+            node = next(pending[-1], None)
+            if node is not None:
+                rows_left -= per_edge
+                if rows_left < 0:
+                    raise BudgetExceededError("row generation budget exhausted")
+                path.append(node)
                 break
             pending.pop()
             path.pop()
@@ -214,29 +225,41 @@ def _stream(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], list[tu
             return
 
 
+def _class_stream(klass: str, bottom, limits: EnumerationLimits | None) -> Iterator[Triangle]:
+    """:func:`walk_stream` over the triangles of ``klass``.  Each distinct
+    row is filled once and its list kept for the stream; every visit charges
+    it to the row budget, so the kept lists hold no more rows than were
+    charged."""
+    bottom, fill = _class_expansion(klass, bottom)
+
+    @cache
+    def expand(row):
+        above = fill(row)
+        return len(above), above
+
+    return map(Triangle, map(StreamRows, walk_stream(bottom, len(bottom), expand, 0, limits or DEFAULT_LIMITS)))
+
+
 def enumerate_gmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All generalized monotone triangles with the given bottom row,
     depth-first in lexicographic order of the successive rows.  The bottom
     row's entries are checked on the call.
     ``limits=None`` means the default budgets, :data:`DEFAULT_LIMITS`."""
-    bottom, expand = _class_expansion("gmt", bottom)
-    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
+    return _class_stream("gmt", bottom, limits)
 
 
 def enumerate_mt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All monotone triangles with the given strictly increasing bottom row,
     whose entries are checked on the call.  ``limits=None`` means the
     default budgets, :data:`DEFAULT_LIMITS`."""
-    bottom, expand = _class_expansion("mt", bottom)
-    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
+    return _class_stream("mt", bottom, limits)
 
 
 def enumerate_dmt(bottom, limits: EnumerationLimits | None = None) -> Iterator[Triangle]:
     """All decreasing monotone triangles with the given weakly decreasing
     bottom row, whose entries are checked on the call.  ``limits=None`` means
     the default budgets, :data:`DEFAULT_LIMITS`."""
-    bottom, expand = _class_expansion("dmt", bottom)
-    return _stream(bottom, expand, limits or DEFAULT_LIMITS)
+    return _class_stream("dmt", bottom, limits)
 
 
 def _edge_signs(lower, rows) -> list[int]:
@@ -316,8 +339,8 @@ def walk_totals(bottom: tuple[int, ...], expand: Callable[[tuple[int, ...]], tup
 
 def _class_totals(klass: str, bottom, limits: EnumerationLimits | None, signed: bool) -> tuple[int, int]:
     """:func:`walk_totals` over the triangles of ``klass`` with the given
-    bottom row, charging each row's fill on entering it as :func:`_stream`
-    does; every edge sign is +1 unless ``signed``."""
+    bottom row, charging each row's fill on entering it as the stream,
+    :func:`_class_stream`, does; every edge sign is +1 unless ``signed``."""
     bottom, fill = _class_expansion(klass, bottom)
 
     def expand(row):

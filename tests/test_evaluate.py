@@ -397,6 +397,25 @@ class TestRowsOfThree:
             assert _alpha3(a, b, c) == alpha((a, b, c), "third", cache) == alpha((a, b, c), "gmt"), (a, b, c)
         assert _alpha3(1, 2, 3) == 7
 
+    @staticmethod
+    @functools.cache
+    def cube():
+        """Every row of three entries in -6..6 and its value by third."""
+        cache = EvalCache("third")
+        return [(row, alpha(row, "third", cache)) for row in product(range(-6, 7), repeat=3)]
+
+    @pytest.mark.parametrize("old, new", [("(b - c - 1)", "(b - c - 2)"), ("4 * c + 3", "4 * c + 2"),
+                                          ("c * c - 3 * c", "c * c - 2 * c")])
+    def test_a_changed_coefficient_fails(self, old, new):
+        # A copy of the closed form with one coefficient changed disagrees
+        # with third somewhere on the grid, so the check above can fail.
+        source = inspect.getsource(_alpha3)
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), namespace)
+        changed = namespace["_alpha3"]
+        assert any(changed(*row) != by_third for row, by_third in self.cube())
+
 
 class TestRowsOfFour:
     """The operator route settles a row of four entries that misses its

@@ -290,6 +290,16 @@ class TestBudgets:
         with pytest.raises(ValueError):
             EnumerationLimits(max_triangles=0)
 
+    @pytest.mark.parametrize("name, value", [("max_triangles", 2.5), ("max_triangles", 2.0),
+                                             ("max_rows_generated", 1e9), ("max_triangles", True),
+                                             ("max_rows_generated", "100")])
+    def test_budgets_must_be_integers(self, name, value):
+        # a fractional triangle budget never equals the count, so it used to
+        # let all 42 triangles of (1, 2, 3, 4) through where 2 stops at 2
+        with pytest.raises(TypeError, match=rf"^non-integer budget {name}={re.escape(repr(value))}$"):
+            EnumerationLimits(**{name: value})
+        assert getattr(EnumerationLimits(**{name: Entry.TWO}), name) == 2
+
     def test_normal_completion_is_not_an_error(self):
         limits = EnumerationLimits(max_triangles=4)
         assert len(list(enumerate_gmt((4, 2, 1, 3), limits))) == 4

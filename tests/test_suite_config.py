@@ -68,6 +68,14 @@ def test_only_the_tracer_keeps_unused_imports():
     assert unused == {"cli.sc_statistic", "evaluate.enumerate_mt"}
 
 
+def test_only_the_row_walks_charge_budgets():
+    # rows.walk_stream and rows.walk_totals charge every budget; the other
+    # modules pass them expansions and charging rules.
+    package = Path(__file__).resolve().parents[1] / "src" / "monotri"
+    for message in ("row generation budget exhausted", "triangle budget exhausted"):
+        assert [path.name for path in sorted(package.glob("*.py")) if message in path.read_text()] == ["rows.py"]
+
+
 def test_the_tracer_caches_exactly_the_memoized_routes():
     # bench/tracing.py gives a traced alpha call without a cache one of its
     # own on the routes of CACHED_METHODS; it is read here, not imported.
